@@ -197,7 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cocycle-search", help="enumerate all shiftable cocycles")
     p.add_argument("--n", type=int, required=True, help="source modulus")
     p.add_argument("--m", type=int, required=True, help="coefficient modulus")
-    p.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p.add_argument("--parallel", type=int, default=1,
+                   help="accepted for compatibility and ignored")
     p.add_argument("--dump", action="store_true", help="also print every table")
     p.set_defaults(fn=_cmd_cocycle_search)
 

@@ -11,8 +11,8 @@ the weight sum independent of the chosen coloring.
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +26,7 @@ class CocycleError(UpDownError):
 
 
 class BudgetExceededError(CocycleError):
-    """Enumeration request larger than the hard candidate budget."""
+    """Enumeration request whose output exceeds the hard budget."""
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,6 @@ _CONDITIONS = {
         ((_A, -1, _B, -1, -1), (_B, -1, _C, 1, -1), (_A, -1, _C, 1, 1))),
 }
 
-# Equivalent system for shiftable tables: (A) zero diagonal, (B) diagonal
-# shift, (C) three two-term identities holding for each sign separately.
-_SYSTEM_C = (
-    (((_B, 1, _C, 1), (_A, -1, _C, 2)), ((_B, 0, _C, 2), (_A, 0, _C, 1))),
-    (((_A, -1, _B, 1), (_B, 1, _C, 1)), ((_A, 0, _B, 0), (_B, 0, _C, 2))),
-    (((_A, -1, _B, 1), (_A, 0, _C, 1)), ((_A, 0, _B, 0), (_A, -1, _C, 2))),
-)
-
-
 def _flat(n: int, block: int, a: int, b: int) -> int:
     return block + (a % n) * n + (b % n)
 
@@ -142,20 +133,6 @@ def _condition_indices(n: int):
             rows.append((abc, resolve(lhs_terms), resolve(rhs_terms)))
         out[k] = rows
     return out
-
-
-@lru_cache(maxsize=64)
-def _system_indices(n: int):
-    nn = n * n
-    rows = []
-    for lhs_terms, rhs_terms in _SYSTEM_C:
-        for block in (0, nn):
-            for abc in itertools.product(range(n), repeat=3):
-                def resolve(terms):
-                    return tuple(_flat(n, block, abc[v1] + o1, abc[v2] + o2)
-                                 for v1, o1, v2, o2 in terms)
-                rows.append((resolve(lhs_terms), resolve(rhs_terms)))
-    return rows
 
 
 @lru_cache(maxsize=1024)
@@ -194,69 +171,69 @@ def is_shiftable(t: CocycleTable) -> bool:
 
 
 def check_shiftable_system(t: CocycleTable) -> bool:
-    """The equivalent three-part test for shiftable cocycles.
+    """The reduced test for shiftable cocycles; equals check_cocycle(t) and
+    is_shiftable(t).
 
-    Checks the zero diagonal, the diagonal-shift identity, and the reduced
-    two-term identities; equals check_cocycle(t) and is_shiftable(t).
+    Write f(a, b, eps) = h_eps((a - b) mod n).  For a shiftable table the
+    nine conditions reduce, sign by sign, to h_eps(0) = 0 and a step-2
+    difference h_eps(u) - h_eps(u - 2) that is one constant for every u.
     """
     n, m, e = t.n, t.m, t.entries
-    nn = n * n
-    for block in (0, nn):
-        for a in range(n):
-            if e[block + a * n + a] % m != 0:
-                return False
-    if not is_shiftable(t):
+    if e[0] or e[n * n] or not is_shiftable(t):
         return False
-    for lhs, rhs in _system_indices(n):
-        if (e[lhs[0]] + e[lhs[1]] - e[rhs[0]] - e[rhs[1]]) % m != 0:
+    for block in (0, n * n):
+        h = e[block:block + n * n:n]  # h(u) = f(u, 0)
+        if len({(h[u] - h[(u - 2) % n]) % m for u in range(n)}) > 1:
             return False
     return True
 
 
-_ENUMERATION_BUDGET = 10_000_000
+_OUTPUT_BUDGET = 10_000_000
 
 
-def _vector_table(n: int, m: int, vec: tuple[int, ...]) -> CocycleTable:
-    return CocycleTable.from_differences(n, m, (0,) + vec[:n - 1], (0,) + vec[n - 1:])
+def _row_space(n: int, m: int) -> tuple[range, range]:
+    """Step-2 differences k and odd-chain starts c of the shiftable rows.
+
+    A row is a difference table h with h(0) = 0 and h(u) - h(u - 2) = k for
+    every u.  For odd n the chain h(2j) = j*k covers Z_n and closes when
+    n*k = 0 (mod m).  For even n the even chain h(2j) = j*k and the odd
+    chain h(2j + 1) = c + j*k, with c free, each have length n/2 and close
+    when (n/2)*k = 0 (mod m).
+    """
+    length = n if n % 2 else n // 2
+    return range(0, m, m // math.gcd(length, m)), range(1 if n % 2 else m)
 
 
-def _enumerate_chunk(n: int, m: int, start: int, stop: int) -> list[tuple[int, ...]]:
-    width = 2 * (n - 1)
-    accepted = []
-    for idx in range(start, stop):
-        digits = []
-        rest = idx
-        for _ in range(width):
-            rest, digit = divmod(rest, m)
-            digits.append(digit)
-        vec = tuple(reversed(digits))
-        if check_shiftable_system(_vector_table(n, m, vec)):
-            accepted.append(vec)
-    return accepted
+def _row(n: int, m: int, k: int, c: int) -> tuple[int, ...]:
+    h = [0] * n
+    for j in range(n if n % 2 else n // 2):
+        h[2 * j % n] = j * k % m
+        if n % 2 == 0:
+            h[2 * j + 1] = (c + j * k) % m
+    return tuple(h)
 
 
 def enumerate_shiftable(n: int, m: int, jobs: int = 1) -> list[CocycleTable]:
     """All shiftable n-up-down cocycles into Z_m, lexicographic by their
     difference vectors (plus block first, entry for difference 1 first).
 
-    Candidates are difference tables with h(0) = 0, m**(2(n-1)) of them;
-    requests beyond the 10**7 budget raise BudgetExceededError.
+    The plus and minus rows are independent and range over the same rows
+    (see _row_space), so the tables are every (plus, minus) pair of sorted
+    rows, plus row major.  There are gcd(n, m)**2 tables for odd n and
+    (m * gcd(n/2, m))**2 for even n.  Requests whose output exceeds 10**7
+    entries raise BudgetExceededError before any table is built.  `jobs`
+    is accepted for compatibility and ignored.
     """
     if n < 1 or m < 1:
         raise CocycleError("both moduli must be >= 1")
-    total = m ** (2 * (n - 1))
-    if total > _ENUMERATION_BUDGET:
+    steps, starts = _row_space(n, m)
+    size = (len(steps) * len(starts)) ** 2 * 2 * n * n
+    if size > _OUTPUT_BUDGET:
         raise BudgetExceededError(
-            f"{total} candidates exceed the enumeration budget of {_ENUMERATION_BUDGET}")
-    if jobs <= 1 or total < 4 * jobs:
-        vecs = _enumerate_chunk(n, m, 0, total)
-    else:
-        step = -(-total // jobs)
-        ranges = [(n, m, lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(_enumerate_chunk, *zip(*ranges))
-        vecs = [v for chunk in chunks for v in chunk]
-    return [_vector_table(n, m, v) for v in vecs]
+            f"{size} table entries exceed the output budget of {_OUTPUT_BUDGET}")
+    rows = sorted(_row(n, m, k, c) for k in steps for c in starts)
+    blocks = [tuple(h[(a - b) % n] for a in range(n) for b in range(n)) for h in rows]
+    return [CocycleTable(n, m, plus + minus) for plus in blocks for minus in blocks]
 
 
 _ZERO_NAME = re.compile(r"zero\((\d+),(\d+)\)\Z")

@@ -1,10 +1,12 @@
 """Shared fixtures and independent oracles used across the test suite.
 
 The brute-force oracles here deliberately avoid the library's propagation
-solver and position bookkeeping: colorings are found by filtering every
-possible color assignment, and weight sums walk the pass sequences
-directly.  They are only usable on small diagrams, which is what the
-frozen expected values are derived from.
+solver, position bookkeeping and closed-form cocycle search: colorings are
+found by filtering every possible color assignment, weight sums walk the
+pass sequences directly, and shiftable cocycles are found by filtering
+every difference table through the nine conditions.  They are only usable
+on small inputs, which is what the frozen expected values are derived
+from.
 """
 
 from __future__ import annotations
@@ -117,6 +119,19 @@ def brute_phi(d: ud.Diagram, table: ud.CocycleTable) -> tuple[int, ...]:
     spec = ud.ColoringSpec(table.n)
     return tuple(sorted(
         brute_weight_sum(d, colors, table) for colors in brute_colorings(d, spec)))
+
+
+def brute_shiftable(n: int, m: int) -> list[ud.CocycleTable]:
+    """Every shiftable cocycle into Z_m in enumerate_shiftable's order,
+    found by filtering all m**(2(n-1)) difference vectors with h(0) = 0
+    through check_cocycle, in lexicographic order (plus row first)."""
+    found = []
+    for vec in itertools.product(range(m), repeat=2 * (n - 1)):
+        t = ud.CocycleTable.from_differences(
+            n, m, (0,) + vec[:n - 1], (0,) + vec[n - 1:])
+        if ud.check_cocycle(t):
+            found.append(t)
+    return found
 
 
 def fast_phi(d: ud.Diagram, table: ud.CocycleTable) -> tuple[int, ...]:

@@ -107,7 +107,10 @@ def test_criterion_05_shiftable_system_equivalence():
     falsifies both sides on their first checked condition, which is
     exercised against every one of the 728 nonzero diagonal patterns with
     three off-diagonal fills each (the full 3**18 sweep is the slow-marked
-    test below).  10**4 seeded random tables at (4,4) close the criterion.
+    test below).  10**4 seeded random tables at (4,4) follow.  Random tables
+    rarely pass the zero diagonal, so every difference table (h(0) free) at
+    n=1, (4,4), (5,3) and (6,2) closes the criterion: these reach the
+    step-2 test for odd and even n.
     """
     for n, m in [(2, 2), (2, 3), (3, 2)]:
         assert all(_equivalence_holds(t) for t in _all_tables(n, m))
@@ -142,8 +145,16 @@ def test_criterion_05_shiftable_system_equivalence():
     for _ in range(10_000):
         t = ud.CocycleTable(4, 4, tuple(rng.randrange(4) for _ in range(32)))
         assert _equivalence_holds(t)
+
+    for n, m in [(1, 1), (1, 2), (1, 3), (4, 4), (5, 3), (6, 2)]:
+        blocks = [tuple(h[(a - b) % n] for a in range(n) for b in range(n))
+                  for h in itertools.product(range(m), repeat=n)]
+        for plus in blocks:
+            for minus in blocks:
+                assert _equivalence_holds(ud.CocycleTable(n, m, plus + minus))
     print("PASS criterion 5: system equivalence on full (2,2)/(2,3)/(3,2) sweeps, "
-          "stratified (3,3), and 10^4 random (4,4) tables")
+          "stratified (3,3), 10^4 random (4,4) tables, and every difference "
+          "table at n=1 and (4,4)/(5,3)/(6,2)")
 
 
 @pytest.mark.slow

@@ -1,12 +1,17 @@
 """Cocycle condition checks, shiftability, enumeration and the file format."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import updown as ud
 from updown.cocycle import SIGNS
+from helpers import brute_shiftable
 
 
 def random_table(rng, n, m):
@@ -128,14 +133,40 @@ class TestEnumerate:
                 for e2 in tables:
                     assert tuple((v1 + v2) % m for v1, v2 in zip(e1, e2)) in tables
 
+    def test_matches_brute_force_oracle(self):
+        for n in range(1, 7):
+            for m in range(1, 9):
+                if m ** (2 * (n - 1)) <= 10**4:
+                    assert ud.enumerate_shiftable(n, m) == brute_shiftable(n, m), (n, m)
+
+    @pytest.mark.parametrize("n, m, count", [(6, 6, 324), (8, 8, 1024),
+                                             (12, 12, 5184), (4, 20, 1600)])
+    def test_counts_beyond_brute_force(self, n, m, count):
+        tables = ud.enumerate_shiftable(n, m)
+        assert len(set(tables)) == len(tables) == count
+        assert ud.check_cocycle(tables[-1]) and ud.is_shiftable(tables[-1])
+
     def test_budget_guard(self):
-        with pytest.raises(ud.BudgetExceededError):
-            ud.enumerate_shiftable(4, 20)
+        # both requests would build more than 10**10 entries; (10**5, 1) has
+        # a single table, so only a guard on output size catches it
+        for n, m in [(64, 64), (10**5, 1)]:
+            with pytest.raises(ud.BudgetExceededError):
+                ud.enumerate_shiftable(n, m)
 
     def test_parallel_matches_serial(self):
         serial = ud.enumerate_shiftable(3, 4)
         parallel = ud.enumerate_shiftable(3, 4, jobs=2)
         assert serial == parallel
+
+
+def test_import_loads_no_process_machinery():
+    code = ("import sys, updown; print(sorted(name for name in sys.modules if name in "
+            "('multiprocessing', 'concurrent.futures.process')))")
+    src = str(Path(ud.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 class TestFileFormat:
