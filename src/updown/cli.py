@@ -59,10 +59,10 @@ def _cmd_validate(args) -> int:
 def _cmd_count(args) -> int:
     d = _load_diagram(args.diagram)
     spec = _spec_from(args)
+    found = _coloring.solve_colorings(d, spec) if args.dump_colorings else []
     print(f"count={_coloring.count_colorings(d, spec)}")
-    if args.dump_colorings:
-        for i, c in enumerate(_coloring.solve_colorings(d, spec)):
-            _print_coloring(i, c)
+    for i, c in enumerate(found):
+        _print_coloring(i, c)
     return 0
 
 

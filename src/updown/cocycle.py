@@ -242,7 +242,8 @@ BUILTIN_NAMES = ("example-f", "example-g", "zero(n,m)")
 
 
 def builtin_table(name: str) -> CocycleTable:
-    """Named tables: example-f and example-g over Z_4, and zero(n,m)."""
+    """Named tables: example-f and example-g over Z_4, and zero(n,m), which
+    raises BudgetExceededError when its 2*n*n entries exceed 10**7."""
     if name == "example-f":
         return CocycleTable.from_differences(4, 4, (0, 2, 2, 0), (0, 1, 2, 3))
     if name == "example-g":
@@ -250,7 +251,11 @@ def builtin_table(name: str) -> CocycleTable:
         return CocycleTable.from_differences(4, 4, (0, 0, 0, 0), (0, 1, 0, 1))
     m = _ZERO_NAME.match(name)
     if m:
-        return CocycleTable.zero(int(m.group(1)), int(m.group(2)))
+        n = int(m.group(1))
+        if 2 * n * n > _OUTPUT_BUDGET:
+            raise BudgetExceededError(
+                f"{2 * n * n} table entries exceed the output budget of {_OUTPUT_BUDGET}")
+        return CocycleTable.zero(n, int(m.group(2)))
     raise CocycleError(f"unknown builtin cocycle {name!r}; known: {', '.join(BUILTIN_NAMES)}")
 
 
@@ -272,7 +277,7 @@ def parse_table(text: str) -> CocycleTable:
     seen: dict[tuple[int, int, int], int] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 4 or parts[2] not in "+-":
+        if len(parts) != 4 or parts[2] not in ("+", "-"):
             raise CocycleError(f"bad entry line {ln!r}; expected '<a> <b> <+|-> <value>'")
         try:
             a, b, v = int(parts[0]), int(parts[1]), int(parts[3])

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .diagram import OVER, Diagram, SemiArcId, component_shift
+from .diagram import Diagram, SemiArcId, _semi_arc_offsets, component_shift
 from .errors import UpDownError
 
 
@@ -45,9 +45,13 @@ class Coloring:
         return self.colors[arc.component][arc.position]
 
 
-def _delta(pas, spec: ColoringSpec) -> int:
-    w = spec.pos_shift if pas.sign > 0 else spec.neg_shift
-    return w if pas.role == OVER else -w
+_COLORING_BUDGET = 10**6
+
+
+def _component_offsets(d: Diagram, spec: ColoringSpec):
+    """(semi-arc offsets, shift) per component under the spec's weights."""
+    weights = (spec.pos_shift, spec.neg_shift)
+    return [_semi_arc_offsets(d, k, weights) for k in range(d.num_components)]
 
 
 def _require_total(d: Diagram, c: Coloring):
@@ -57,19 +61,16 @@ def _require_total(d: Diagram, c: Coloring):
 
 
 def verify_coloring(d: Diagram, c: Coloring) -> bool:
-    """True when every crossing condition holds mod n.
-
-    Raises ColoringError if the color map is not total on the diagram's
-    semi-arcs.
+    """True when every crossing condition holds mod n: per component, each
+    color is semi-arc 0's color plus the semi-arc's offset, and n divides
+    the shift.  Raises ColoringError if the color map is not total on the
+    diagram's semi-arcs.
     """
     _require_total(d, c)
     n = c.spec.modulus
-    for k, comp in enumerate(d.components):
-        cols = c.colors[k]
-        for p, pas in enumerate(comp):
-            # cols[p - 1] wraps to the last arc when p == 0
-            if (cols[p] - cols[p - 1] - _delta(pas, c.spec)) % n != 0:
-                return False
+    for cols, (offsets, shift) in zip(c.colors, _component_offsets(d, c.spec)):
+        if shift % n or any((col - cols[0] - off) % n for col, off in zip(cols, offsets)):
+            return False
     return True
 
 
@@ -79,35 +80,28 @@ def solve_colorings(d: Diagram, spec: ColoringSpec) -> list[Coloring]:
     Per component the base color of semi-arc 0 determines everything by
     propagation, and the choice is consistent exactly when the modulus
     divides that component's shift.  The output is the full solution set,
-    empty when some component is inconsistent.
+    empty when some component is inconsistent.  A solution set of more
+    than 10**6 colorings raises ColoringError before any is built.
     """
     n = spec.modulus
-    prefixes = []
-    for comp in d.components:
-        acc = 0
-        prefix = [0]
-        for pas in comp[1:]:
-            acc += _delta(pas, spec)
-            prefix.append(acc)
-        total = acc + (_delta(comp[0], spec) if comp else 0)
-        if total % n != 0:
+    offsets = []
+    for offs, shift in _component_offsets(d, spec):
+        if shift % n:
             return []
-        prefixes.append(prefix)
-    out = []
-    for bases in itertools.product(range(n), repeat=d.num_components):
-        out.append(Coloring(spec, tuple(
-            tuple((base + off) % n for off in prefix)
-            for base, prefix in zip(bases, prefixes))))
-    return out
+        offsets.append(offs)
+    r = d.num_components
+    if n ** r > _COLORING_BUDGET:
+        raise ColoringError(f"{n}**{r} colorings exceed the budget of {_COLORING_BUDGET}")
+    return [Coloring(spec, tuple(tuple((base + off) % n for off in offs)
+                                 for base, offs in zip(bases, offsets)))
+            for bases in itertools.product(range(n), repeat=r)]
 
 
 def count_colorings(d: Diagram, spec: ColoringSpec) -> int:
     """n**r when every component shift is divisible by n, else 0."""
     n = spec.modulus
-    weights = (spec.pos_shift, spec.neg_shift)
-    for k in range(d.num_components):
-        if component_shift(d, k, weights) % n != 0:
-            return 0
+    if any(shift % n for _, shift in _component_offsets(d, spec)):
+        return 0
     return n ** d.num_components
 
 

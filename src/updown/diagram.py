@@ -208,24 +208,36 @@ def semi_arcs(d: Diagram) -> list[SemiArcId]:
             for p in range(d.arc_count(k))]
 
 
+def _semi_arc_offsets(d: Diagram, index: int,
+                      weights: tuple[int, int]) -> tuple[tuple[int, ...], int]:
+    """Offsets of one component's semi-arcs from semi-arc 0, and its shift.
+
+    A pass steps the color by +w over and -w under, w being weights[0] at
+    positive crossings and weights[1] at negative ones.  Semi-arc p follows
+    pass p, and the shift is the total of all the component's steps.
+    """
+    pos_w, neg_w = weights
+    comp = d.components[index]
+    offsets = [0]
+    for pas in comp[1:] + comp[:1]:
+        w = pos_w if pas.sign > 0 else neg_w
+        offsets.append(offsets[-1] + (w if pas.role == OVER else -w))
+    shift = offsets.pop() if comp else 0
+    return tuple(offsets), shift
+
+
 def component_shift(d: Diagram, index: int, weights: tuple[int, int] = (1, 1)) -> int:
-    """Signed weight total of the non-self passes of one component.
+    """Signed weight total of the passes of one component.
 
     An over pass adds +w and an under pass adds -w, where w is weights[0]
-    at positive crossings and weights[1] at negative ones.  Passes of
-    self-crossings cancel in pairs and are excluded.  With weights (1, 1)
-    this is the over-minus-under count governing colorability.
+    at positive crossings and weights[1] at negative ones.  The two passes
+    of a self-crossing share a sign and cancel, so only non-self crossings
+    count.  With weights (1, 1) this is the over-minus-under count
+    governing colorability.
     """
     if not 0 <= index < d.num_components:
         raise IndexError(f"component index {index} out of range")
-    pos_w, neg_w = weights
-    total = 0
-    for pas in d.components[index]:
-        if d.is_self_crossing(pas.crossing):
-            continue
-        w = pos_w if pas.sign > 0 else neg_w
-        total += w if pas.role == OVER else -w
-    return total
+    return _semi_arc_offsets(d, index, weights)[1]
 
 
 def connected_sum(d1: Diagram, d2: Diagram, s1: SemiArcId, s2: SemiArcId) -> Diagram:

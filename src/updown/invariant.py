@@ -53,35 +53,30 @@ class RiiBound:
         return f"bound={self.bound} certificate={self.certificate} detail={self.detail}"
 
 
-def _weight_positions(d: Diagram, crossing: int):
+def _weight_site(d: Diagram, crossing: int) -> tuple[int, int, int, int, int]:
+    """(under comp, under arc, over comp, over arc, sign) that crossing_weight reads."""
     ko, po = d.over_position(crossing)
     ku, pu = d.under_position(crossing)
-    len_o = len(d.components[ko])
-    len_u = len(d.components[ku])
     if d.crossing_sign(crossing) > 0:
-        # incoming under arc, outgoing over arc
-        return (ku, (pu - 1) % len_u), (ko, po), 1
-    # outgoing under arc, incoming over arc
-    return (ku, pu), (ko, (po - 1) % len_o), -1
+        return ku, (pu - 1) % len(d.components[ku]), ko, po, 1
+    return ku, pu, ko, (po - 1) % len(d.components[ko]), -1
 
 
-def _weight_sites(d: Diagram) -> list[tuple[int, int, int, int, int]]:
-    """(under comp, under arc, over comp, over arc, sign) per crossing,
-    computed once so multiset evaluation does not redo position lookups per
-    coloring."""
-    sites = []
-    for x in d.crossing_ids():
-        (ku, au), (ko, ao), sign = _weight_positions(d, x)
-        sites.append((ku, au, ko, ao, sign))
-    return sites
+def _site_total(sites, colors, table: CocycleTable) -> int:
+    value = table.value
+    return sum(value(colors[ku][au], colors[ko][ao], sign)
+               for ku, au, ko, ao, sign in sites) % table.m
+
+
+def _require_modulus(c: Coloring, table: CocycleTable):
+    if c.spec.modulus != table.n:
+        raise InvariantError(
+            f"coloring modulus {c.spec.modulus} does not match table modulus {table.n}")
 
 
 def _all_weight_sums(d: Diagram, table: CocycleTable) -> list[int]:
-    sites = _weight_sites(d)
-    value = table.value
-    m = table.m
-    return [sum(value(c.colors[ku][au], c.colors[ko][ao], sign)
-                for ku, au, ko, ao, sign in sites) % m
+    sites = [_weight_site(d, x) for x in d.crossing_ids()]
+    return [_site_total(sites, c.colors, table)
             for c in solve_colorings(d, ColoringSpec(table.n))]
 
 
@@ -89,23 +84,15 @@ def crossing_weight(d: Diagram, c: Coloring, crossing: int, table: CocycleTable)
     """Table entry of one crossing: positive crossings read the incoming
     under color and outgoing over color, negative ones the outgoing under
     color and incoming over color."""
-    if c.spec.modulus != table.n:
-        raise InvariantError(
-            f"coloring modulus {c.spec.modulus} does not match table modulus {table.n}")
-    (ku, au), (ko, ao), sign = _weight_positions(d, crossing)
+    _require_modulus(c, table)
+    ku, au, ko, ao, sign = _weight_site(d, crossing)
     return table.value(c.colors[ku][au], c.colors[ko][ao], sign)
 
 
 def weight_sum(d: Diagram, c: Coloring, table: CocycleTable) -> int:
     """Sum of all crossing weights mod m; 0 for crossing-free diagrams."""
-    if c.spec.modulus != table.n:
-        raise InvariantError(
-            f"coloring modulus {c.spec.modulus} does not match table modulus {table.n}")
-    total = 0
-    for x in d.crossing_ids():
-        (ku, au), (ko, ao), sign = _weight_positions(d, x)
-        total += table.value(c.colors[ku][au], c.colors[ko][ao], sign)
-    return total % table.m
+    _require_modulus(c, table)
+    return _site_total([_weight_site(d, x) for x in d.crossing_ids()], c.colors, table)
 
 
 def _require_cocycle(table: CocycleTable):

@@ -207,8 +207,8 @@ class _MoveIndex:
         self.arcs = _all_arcs(d)
         n_arcs = len(self.arcs)
         self.ri_add = 4 * n_arcs if RI_ADD in kinds else 0
-        self.ri_removes = sorted(_enumerate_ri_remove(d), key=_descriptor_key) \
-            if RI_REMOVE in kinds else []
+        # emitted one per site in (k, p) order, which is already sorted
+        self.ri_removes = _enumerate_ri_remove(d) if RI_REMOVE in kinds else []
         self.rii_add = 4 * n_arcs * (n_arcs - 1) if RII_ADD in kinds else 0
         self.rii_removes = sorted(_enumerate_rii_remove(d), key=_descriptor_key) \
             if RII_REMOVE in kinds else []

@@ -179,6 +179,16 @@ class TestInputsAndErrors:
         assert code == 0
         assert out == "phi_multiset={}\n"
 
+    def test_budgets_exit_one(self, capsys):
+        loops = " ; ".join(["()"] * 20)
+        for argv in (("phi-multiset", loops, "--cocycle", "example-f", "--unchecked-links"),
+                     ("count", loops, "--n", "4", "--dump-colorings"),
+                     ("cocycle-check", "zero(100000,2)")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert "budget" in err
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "()"])  # --n is required

@@ -42,6 +42,11 @@ class TestBuiltins:
         with pytest.raises(ud.CocycleError):
             ud.builtin_table("example-h")
 
+    def test_zero_budget(self):
+        # 2 * 10**10 entries; the guard raises before allocating any
+        with pytest.raises(ud.BudgetExceededError):
+            ud.builtin_table("zero(100000,2)")
+
 
 class TestCheckCocycle:
     @pytest.mark.parametrize("name", ["example-f", "example-g", "zero(2,2)", "zero(4,4)"])
@@ -189,6 +194,15 @@ class TestFileFormat:
         text = ud.format_table(ud.CocycleTable.zero(2, 2))
         with pytest.raises(ud.CocycleError, match="duplicate"):
             ud.parse_table(text + "0 0 + 0\n")
+
+    @pytest.mark.parametrize("text", [
+        "n=1 m=2\n0 0 + 0\n0 0 +- 1",
+        "n=1 m=2\n0 0 + 0\n0 0 * 1",
+        "n=1 m=2\n0 0 + 0\n0 0 - 1 1",
+    ])
+    def test_bad_entry_line(self, text):
+        with pytest.raises(ud.CocycleError, match="bad entry line"):
+            ud.parse_table(text)
 
     def test_out_of_range(self):
         with pytest.raises(ud.CocycleError, match="outside"):

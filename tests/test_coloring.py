@@ -1,5 +1,7 @@
 """Coloring solver, counting, colorability, maxord and color shifts."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,23 @@ class TestVerify:
             ud.verify_coloring(d, coloring_of(KINK, 3, [0]))
         with pytest.raises(ud.ColoringError):
             ud.verify_coloring(d, coloring_of(KINK, 3, [0, 1], [2]))
+
+    @pytest.mark.parametrize("code", ["()", KINK, DELTA, tangle(1), "O1- O2+ ; U1- U2+",
+                                      "O1+ O2- U2- ; U1+"])
+    @pytest.mark.parametrize("n, pos, neg", [(3, 1, 1), (4, 1, 1), (3, 3, 5), (4, 3, 5)])
+    def test_accepts_exactly_the_brute_force_colorings(self, code, n, pos, neg):
+        d = ud.parse(code)
+        spec = ud.ColoringSpec(n, pos, neg)
+        arcs = ud.semi_arcs(d)
+        accepted = set()
+        for values in itertools.product(range(n), repeat=len(arcs)):
+            it = iter(values)
+            colors = tuple(tuple(itertools.islice(it, d.arc_count(k)))
+                           for k in range(d.num_components))
+            if ud.verify_coloring(d, ud.Coloring(spec, colors)):
+                accepted.add(values)
+        brute = {tuple(c[arc] for arc in arcs) for c in brute_colorings(d, spec)}
+        assert accepted == brute
 
     def test_matches_brute_force_on_all_assignments(self):
         d = ud.parse(DELTA)
@@ -87,6 +106,14 @@ class TestSolveAndCount:
         for pos, neg in [(2, 1), (0, 3), (2, 2)]:
             spec = ud.ColoringSpec(4, pos, neg)
             assert ud.count_colorings(d, spec) == len(brute_colorings(d, spec))
+
+    def test_enumeration_budget(self):
+        # 4**20 colorings are counted in closed form but never built
+        d = ud.parse(" ; ".join(["()"] * 20))
+        spec = ud.ColoringSpec(4)
+        assert ud.count_colorings(d, spec) == 4 ** 20
+        with pytest.raises(ud.ColoringError, match="budget"):
+            ud.solve_colorings(d, spec)
 
     def test_modulus_one_always_colors(self):
         for code in [UNKNOT_ISH := "()", tangle(3), VIRTUAL_TWO]:

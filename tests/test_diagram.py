@@ -99,6 +99,10 @@ class TestComponentShift:
         d = ud.parse("O1- O2+ ; U1- U2+")
         assert ud.component_shift(d, 0, (3, 5)) == 8
         assert ud.component_shift(d, 1, (3, 5)) == -8
+        # the negative self-crossing 2 steps +5 and -5 within component 0
+        d = ud.parse("O1+ O2- U2- ; U1+")
+        assert ud.component_shift(d, 0, (3, 5)) == 3
+        assert ud.component_shift(d, 1, (3, 5)) == -3
 
     def test_self_crossings_excluded(self):
         # crossing 2 is a self-crossing of the first component

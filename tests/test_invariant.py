@@ -23,6 +23,17 @@ NONSHIFT = ud.CocycleTable.from_function(
     2, 2, lambda a, b, s: 1 if (a, b) == (1, 0) else 0)
 
 
+# links for the permissive multiset: self-crossings, mixed signs and three
+# components; tangle(1) colors mod 2 only, "O1+ O2+ U2+ ; U1+" mod 1 only
+LINK_CODES = [
+    tangle(1),
+    "O1+ O2+ U2+ ; U1+",
+    "O1+ U2- ; U1+ O2-",
+    "O1+ O2+ U2+ U3- ; U1+ O3-",
+    "O1+ U2- ; O2- U3+ ; O3+ U1+",
+]
+
+
 def base_coloring(code, n=4):
     return ud.solve_colorings(ud.parse(code), ud.ColoringSpec(n))[0]
 
@@ -84,11 +95,11 @@ class TestPhiMultiset:
     def test_virtual_two_crossing(self):
         assert ud.phi_multiset(ud.parse(VIRTUAL_TWO), F).elements == (2, 2, 2, 2)
 
-    @pytest.mark.parametrize("code", KNOT_CODES)
+    @pytest.mark.parametrize("code", KNOT_CODES + LINK_CODES)
     @pytest.mark.parametrize("table", [F, G, NONSHIFT], ids=["f", "g", "nonshift"])
     def test_matches_brute_force(self, code, table):
         d = ud.parse(code)
-        assert ud.phi_multiset(d, table).elements == brute_phi(d, table)
+        assert ud.phi_multiset(d, table, allow_links=True).elements == brute_phi(d, table)
 
     def test_rejects_links_without_flag(self):
         with pytest.raises(ud.InvariantError, match="single-component"):
