@@ -236,6 +236,13 @@ def enumerate_shiftable(n: int, m: int, jobs: int = 1) -> list[CocycleTable]:
     return [CocycleTable(n, m, plus + minus) for plus in blocks for minus in blocks]
 
 
+def _modulus(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise CocycleError(f"modulus with {len(digits)} digits is too large") from None
+
+
 _ZERO_NAME = re.compile(r"zero\((\d+),(\d+)\)\Z")
 
 BUILTIN_NAMES = ("example-f", "example-g", "zero(n,m)")
@@ -251,11 +258,11 @@ def builtin_table(name: str) -> CocycleTable:
         return CocycleTable.from_differences(4, 4, (0, 0, 0, 0), (0, 1, 0, 1))
     m = _ZERO_NAME.match(name)
     if m:
-        n = int(m.group(1))
+        n = _modulus(m.group(1))
         if 2 * n * n > _OUTPUT_BUDGET:
             raise BudgetExceededError(
                 f"{2 * n * n} table entries exceed the output budget of {_OUTPUT_BUDGET}")
-        return CocycleTable.zero(n, int(m.group(2)))
+        return CocycleTable.zero(n, _modulus(m.group(2)))
     raise CocycleError(f"unknown builtin cocycle {name!r}; known: {', '.join(BUILTIN_NAMES)}")
 
 
@@ -271,7 +278,7 @@ def parse_table(text: str) -> CocycleTable:
     header = re.match(r"n=(\d+)\s+m=(\d+)\Z", lines[0])
     if header is None:
         raise CocycleError(f"bad header line {lines[0]!r}; expected 'n=<n> m=<m>'")
-    n, m = int(header.group(1)), int(header.group(2))
+    n, m = _modulus(header.group(1)), _modulus(header.group(2))
     if n < 1 or m < 1:
         raise CocycleError("both moduli must be >= 1")
     seen: dict[tuple[int, int, int], int] = {}

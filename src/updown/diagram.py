@@ -181,7 +181,10 @@ def parse(text: str) -> Diagram:
             m = _PASS_RE.match(tok)
             if m is None:
                 raise ParseError(f"bad pass token {tok!r}", pos)
-            crossing = int(m.group(2))
+            try:
+                crossing = int(m.group(2))
+            except ValueError:  # more digits than int() converts
+                raise ParseError("crossing id has too many digits", pos) from None
             if crossing < 1:
                 raise ParseError(f"crossing ids start at 1, got {tok!r}", pos)
             passes.append(Pass(crossing, m.group(1), 1 if m.group(3) == "+" else -1))

@@ -20,6 +20,11 @@ strands over the opposite crossing in every height order and orientation;
 the variant index attached to a row is the number (1..8) of the
 weight-sum identity that the move at such a site realizes, so each index
 covers the two rows that are the two sides of one move.
+
+Legality of the three local kinds (RI-remove, RII-remove, RIII) lives in
+one scan, _local_moves, which reads each adjacent pass pair once.
+enumerate_moves runs it over every position; apply_move runs it over the
+descriptor's first site only.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ RII_ADD = "RII-add"
 RII_REMOVE = "RII-remove"
 RIII = "RIII"
 MOVE_KINDS = frozenset({RI_ADD, RI_REMOVE, RII_ADD, RII_REMOVE, RIII})
+_LOCAL_KINDS = frozenset({RI_REMOVE, RII_REMOVE, RIII})
 
 # Identity moves on this representation; listed for documentation only.
 VIRTUAL_MOVES = ("VRI", "VRII", "VRIII", "VRIV")
@@ -97,97 +103,68 @@ def _all_arcs(d: Diagram) -> list[tuple[int, int]]:
     return [(k, p) for k in range(d.num_components) for p in range(d.arc_count(k))]
 
 
-def _enumerate_ri_remove(d: Diagram) -> list[MoveDescriptor]:
+def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
+    """RI-remove, RII-remove and RIII descriptors of the requested kinds
+    whose first site is (k, p) for some p in positions.
+
+    This is the only legality rule for the three kinds: enumeration scans
+    every position and apply_move scans only a descriptor's first site.
+    Pair (p, p+1) of component k is read once: as a kink when both passes
+    share a crossing, otherwise, when both run over, as the over pair of a
+    poke and as the T pair of a triple slide.
+    """
+    components = d.components
+    under_at = d._under_at  # bulk scan; ids are known valid
+    comp = components[k]
+    size = len(comp)
     out = []
-    for k, comp in enumerate(d.components):
-        size = len(comp)
-        if size < 2:
-            continue
-        for p in range(size):
-            a, b = comp[p], comp[(p + 1) % size]
-            if a.crossing == b.crossing:
+    if size < 2:
+        return out
+    for p in positions:
+        a, b = comp[p], comp[(p + 1) % size]
+        if a.crossing == b.crossing:
+            if RI_REMOVE in kinds:
                 out.append(MoveDescriptor(
                     RI_REMOVE, f"{a.role}{b.role}{_sign_char(a.sign)}", ((k, p),)))
-    return out
-
-
-def _enumerate_rii_remove(d: Diagram) -> list[MoveDescriptor]:
-    out = []
-    for k, comp in enumerate(d.components):
-        size = len(comp)
-        if size < 2:
             continue
-        for p in range(size):
-            a, b = comp[p], comp[(p + 1) % size]
-            if (a.role != OVER or b.role != OVER
-                    or a.crossing == b.crossing or a.sign != -b.sign):
-                continue
-            x, y = a.crossing, b.crossing
-            ku, pu = d._under_at[x]  # bulk scan; ids are known valid
-            under = d.components[ku]
-            nxt = under[(pu + 1) % len(under)]
-            if nxt.role == UNDER and nxt.crossing == y and (pu + 1) % len(under) != pu:
-                out.append(MoveDescriptor(
-                    RII_REMOVE, f"parallel{_sign_char(a.sign)}", ((k, p), (ku, pu))))
-            prev_pos = (pu - 1) % len(under)
-            prev = under[prev_pos]
-            if prev.role == UNDER and prev.crossing == y and prev_pos != pu:
-                out.append(MoveDescriptor(
-                    RII_REMOVE, f"antiparallel{_sign_char(a.sign)}", ((k, p), (ku, prev_pos))))
-    return out
-
-
-def _enumerate_riii(d: Diagram) -> list[MoveDescriptor]:
-    under_at = d._under_at  # bulk scan; skips the per-call id validation
-    components = d.components
-    out = []
-    for k_top, comp in enumerate(components):
-        size = len(comp)
-        if size < 2:
+        if a.role != OVER or b.role != OVER:
             continue
-        for p_top in range(size):
-            q_top = (p_top + 1) % size
-            if q_top == p_top:
-                continue
-            first, second = comp[p_top], comp[q_top]
-            if first.role != OVER or second.role != OVER or first.crossing == second.crossing:
-                continue
-            for tm, tb, s_tm, s_tb in ((first.crossing, second.crossing, first.sign, second.sign),
-                                       (second.crossing, first.crossing, second.sign, first.sign)):
-                t_first = "TM" if tm == first.crossing else "TB"
-                k_mid, p_mid_u = under_at[tm]
-                mid = components[k_mid]
-                for m_first in ("TM", "MB"):
-                    if m_first == "TM":
-                        other_pos, anchor_m = (p_mid_u + 1) % len(mid), p_mid_u
-                    else:
-                        other_pos = anchor_m = (p_mid_u - 1) % len(mid)
-                    if other_pos == p_mid_u:
+        if RII_REMOVE in kinds and a.sign == -b.sign:
+            # the under passes of a then b (parallel), or of b then a
+            ku, pu = under_at[a.crossing]
+            under = components[ku]
+            nxt, prv = (pu + 1) % len(under), (pu - 1) % len(under)
+            for pattern, start, other in (("parallel", pu, nxt), ("antiparallel", prv, prv)):
+                pas = under[other]
+                if other != pu and pas.role == UNDER and pas.crossing == b.crossing:
+                    out.append(MoveDescriptor(
+                        RII_REMOVE, f"{pattern}{_sign_char(a.sign)}", ((k, p), (ku, start))))
+        if RIII not in kinds:
+            continue
+        for t_first, tm_pass, tb_pass in (("TM", a, b), ("TB", b, a)):
+            tm, tb = tm_pass.crossing, tb_pass.crossing
+            k_mid, pu = under_at[tm]
+            mid = components[k_mid]
+            nxt, prv = (pu + 1) % len(mid), (pu - 1) % len(mid)
+            # M runs under TM then over MB, or over MB then under TM
+            for m_first, anchor_m, other in (("TM", pu, nxt), ("MB", prv, prv)):
+                mb_pass = mid[other]
+                if other == pu or mb_pass.role != OVER or mb_pass.crossing in (tm, tb):
+                    continue
+                k_low, p_tb = under_at[tb]
+                k_low2, p_mb = under_at[mb_pass.crossing]
+                if k_low2 != k_low:
+                    continue
+                low_size = len(components[k_low])
+                # not elif: a two-pass bottom strand is adjacent both ways round
+                for b_first, anchor_b, after in (("TB", p_tb, p_mb), ("MB", p_mb, p_tb)):
+                    if (anchor_b + 1) % low_size != after:
                         continue
-                    mb_pass = mid[other_pos]
-                    if mb_pass.role != OVER or mb_pass.crossing in (tm, tb):
-                        continue
-                    mb = mb_pass.crossing
-                    k_low, p_low_tb = under_at[tb]
-                    k_low2, p_low_mb = under_at[mb]
-                    if k_low2 != k_low or p_low_tb == p_low_mb:
-                        continue
-                    low_size = len(components[k_low])
-                    for b_first in ("TB", "MB"):
-                        if b_first == "TB":
-                            if (p_low_tb + 1) % low_size != p_low_mb:
-                                continue
-                            anchor_b = p_low_tb
-                        else:
-                            if (p_low_mb + 1) % low_size != p_low_tb:
-                                continue
-                            anchor_b = p_low_mb
-                        row = (t_first, m_first, b_first, s_tm, s_tb, mb_pass.sign)
-                        variant = _RIII_ROWS.get(row)
-                        if variant is not None:
-                            out.append(MoveDescriptor(
-                                RIII, variant,
-                                ((k_top, p_top), (k_mid, anchor_m), (k_low, anchor_b))))
+                    variant = _RIII_ROWS.get((t_first, m_first, b_first, tm_pass.sign,
+                                              tb_pass.sign, mb_pass.sign))
+                    if variant is not None:
+                        out.append(MoveDescriptor(
+                            RIII, variant, ((k, p), (k_mid, anchor_m), (k_low, anchor_b))))
     return out
 
 
@@ -196,8 +173,8 @@ class _MoveIndex:
 
     Index i enumerates, in order, the RI-add block (arcs major, variants
     minor), the sorted RI-remove list, the RII-add block (ordered arc pairs
-    major, variants minor), the sorted RII-remove list and the sorted RIII
-    list; this matches the order of enumerate_moves exactly.
+    major, variants minor) and the sorted RII-remove then RIII list; this
+    matches the order of enumerate_moves exactly.
     """
 
     def __init__(self, d: Diagram, kinds):
@@ -207,15 +184,16 @@ class _MoveIndex:
         self.arcs = _all_arcs(d)
         n_arcs = len(self.arcs)
         self.ri_add = 4 * n_arcs if RI_ADD in kinds else 0
-        # emitted one per site in (k, p) order, which is already sorted
-        self.ri_removes = _enumerate_ri_remove(d) if RI_REMOVE in kinds else []
         self.rii_add = 4 * n_arcs * (n_arcs - 1) if RII_ADD in kinds else 0
-        self.rii_removes = sorted(_enumerate_rii_remove(d), key=_descriptor_key) \
-            if RII_REMOVE in kinds else []
-        self.riii = sorted(_enumerate_riii(d), key=_descriptor_key) \
-            if RIII in kinds else []
-        self.total = (self.ri_add + len(self.ri_removes) + self.rii_add
-                      + len(self.rii_removes) + len(self.riii))
+        local = []
+        if kinds & _LOCAL_KINDS:
+            for k, comp in enumerate(d.components):
+                local += _local_moves(d, kinds, k, range(len(comp)))
+        # RI-remove < RII-remove < RIII in the key, so the sort splits by kind
+        local.sort(key=_descriptor_key)
+        n_ri = sum(mv.kind == RI_REMOVE for mv in local)
+        self.ri_removes, self.rest = local[:n_ri], local[n_ri:]
+        self.total = self.ri_add + self.rii_add + len(local)
 
     def descriptor(self, idx: int) -> MoveDescriptor:
         if idx < self.ri_add:
@@ -232,10 +210,7 @@ class _MoveIndex:
             j = r if r < i else r + 1
             return MoveDescriptor(RII_ADD, _RII_VARIANTS[var],
                                   (self.arcs[i], self.arcs[j]))
-        idx -= self.rii_add
-        if idx < len(self.rii_removes):
-            return self.rii_removes[idx]
-        return self.riii[idx - len(self.rii_removes)]
+        return self.rest[idx - self.rii_add]
 
 
 def enumerate_moves(d: Diagram, kinds) -> list[MoveDescriptor]:
@@ -277,20 +252,6 @@ def _apply_ri_add(d: Diagram, mv: MoveDescriptor) -> Diagram:
     return Diagram(tuple(comps))
 
 
-def _apply_ri_remove(d: Diagram, mv: MoveDescriptor) -> Diagram:
-    _require(len(mv.sites) == 1, "RI-remove takes one site")
-    k, p = _site(d, mv.sites[0], arc=False)
-    comp = d.components[k]
-    q = (p + 1) % len(comp)
-    _require(q != p and comp[p].crossing == comp[q].crossing,
-             "site does not hold an adjacent same-crossing pair")
-    _require(mv.variant == f"{comp[p].role}{comp[q].role}{_sign_char(comp[p].sign)}",
-             "variant does not match the kink at the site")
-    comps = list(d.components)
-    comps[k] = tuple(pas for i, pas in enumerate(comp) if i not in (p, q))
-    return Diagram(tuple(comps))
-
-
 def _rii_passes(variant: str, x: int, y: int, sign_x: int):
     over = (Pass(x, OVER, sign_x), Pass(y, OVER, -sign_x))
     if variant.startswith("parallel"):
@@ -322,51 +283,27 @@ def _apply_rii_add(d: Diagram, mv: MoveDescriptor) -> Diagram:
     return Diagram(tuple(comps))
 
 
-def _apply_rii_remove(d: Diagram, mv: MoveDescriptor) -> Diagram:
-    _require(mv.variant in _RII_VARIANTS, f"bad RII variant {mv.variant!r}")
-    _require(len(mv.sites) == 2, "RII-remove takes two sites")
-    (k1, p1) = _site(d, mv.sites[0], arc=False)
-    (k2, p2) = _site(d, mv.sites[1], arc=False)
-    over_comp, under_comp = d.components[k1], d.components[k2]
-    q1 = (p1 + 1) % len(over_comp)
-    a, b = over_comp[p1], over_comp[q1]
-    _require(q1 != p1 and a.role == OVER and b.role == OVER
-             and a.crossing != b.crossing and a.sign == -b.sign,
-             "over site does not hold an adjacent opposite-sign over pair")
-    _require(_sign_char(a.sign) == mv.variant[-1], "variant sign mismatch")
-    x, y = a.crossing, b.crossing
-    q2 = (p2 + 1) % len(under_comp)
-    c, e = under_comp[p2], under_comp[q2]
-    _require(q2 != p2 and c.role == UNDER and e.role == UNDER,
-             "under site does not hold an adjacent under pair")
-    if mv.variant.startswith("parallel"):
-        _require((c.crossing, e.crossing) == (x, y), "under pair order mismatch")
-    else:
-        _require((c.crossing, e.crossing) == (y, x), "under pair order mismatch")
-    drop = {(k1, p1), (k1, q1), (k2, p2), (k2, q2)}
-    comps = [tuple(pas for p, pas in enumerate(comp) if (k, p) not in drop)
-             for k, comp in enumerate(d.components)]
-    return Diagram(tuple(comps))
-
-
-def _apply_riii(d: Diagram, mv: MoveDescriptor) -> Diagram:
-    _require(len(mv.sites) == 3, "RIII takes three sites")
-    matches = [m for m in _enumerate_riii(d)
-               if m.sites == mv.sites and m.variant == mv.variant]
-    _require(bool(matches), "sites do not hold this triple-slide configuration")
+def _apply_local(d: Diagram, mv: MoveDescriptor) -> Diagram:
+    _require(bool(mv.sites), f"{mv.kind} has no sites")
+    k, p = _site(d, mv.sites[0], arc=False)
+    _require(mv in _local_moves(d, {mv.kind}, k, (p,)),
+             f"sites do not hold this {mv.kind} configuration")
     comps = [list(comp) for comp in d.components]
     for k, p in mv.sites:
         q = (p + 1) % len(comps[k])
-        comps[k][p], comps[k][q] = comps[k][q], comps[k][p]
-    return Diagram(tuple(tuple(comp) for comp in comps))
+        if mv.kind == RIII:
+            comps[k][p], comps[k][q] = comps[k][q], comps[k][p]
+        else:
+            comps[k][p] = comps[k][q] = None
+    return Diagram(tuple(tuple(pas for pas in comp if pas is not None) for comp in comps))
 
 
 _APPLIERS = {
     RI_ADD: _apply_ri_add,
-    RI_REMOVE: _apply_ri_remove,
+    RI_REMOVE: _apply_local,
     RII_ADD: _apply_rii_add,
-    RII_REMOVE: _apply_rii_remove,
-    RIII: _apply_riii,
+    RII_REMOVE: _apply_local,
+    RIII: _apply_local,
 }
 
 
@@ -374,7 +311,10 @@ def apply_move(d: Diagram, mv: MoveDescriptor) -> Diagram:
     """Apply a descriptor, re-validating it against the diagram first.
 
     Descriptors are positional, so applying one to a diagram it was not
-    enumerated from raises MoveError instead of rewriting garbage.
+    enumerated from raises MoveError instead of rewriting garbage.  An
+    RI-remove, RII-remove or RIII descriptor is legal exactly when the scan
+    that enumerates moves lists it from the descriptor's first site; no
+    other position is scanned.
     """
     try:
         applier = _APPLIERS[mv.kind]

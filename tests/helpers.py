@@ -1,12 +1,13 @@
 """Shared fixtures and independent oracles used across the test suite.
 
 The brute-force oracles here deliberately avoid the library's propagation
-solver, position bookkeeping and closed-form cocycle search: colorings are
-found by filtering every possible color assignment, weight sums walk the
-pass sequences directly, and shiftable cocycles are found by filtering
-every difference table through the nine conditions.  They are only usable
-on small inputs, which is what the frozen expected values are derived
-from.
+solver, position bookkeeping, closed-form cocycle search and move scan:
+colorings are found by filtering every possible color assignment, weight
+sums walk the pass sequences directly, shiftable cocycles are found by
+filtering every difference table through the nine conditions, and local
+move sites by trying every pair or triple of adjacent pass pairs.  They
+are only usable on small inputs, which is what the frozen expected values
+are derived from.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 import numpy as np
 
 import updown as ud
+from updown.moves import _RIII_ROWS
 
 # -- fixture codes ----------------------------------------------------------
 
@@ -61,6 +63,64 @@ def random_knot_code(rng: random.Random, max_crossings: int = 12) -> str:
     passes += [f"U{x}{signs[x]}" for x in range(1, c + 1)]
     rng.shuffle(passes)
     return " ".join(passes)
+
+
+def riii_strands(row) -> tuple[list, list, list]:
+    """The T, M and B pass pairs of a triple-slide configuration key
+    (T first, M first, B first, sign TM, TB, MB); crossings TM=1, TB=2,
+    MB=3.  Keys outside the legal rows give look-alike sites."""
+    t_first, m_first, b_first, s_tm, s_tb, s_mb = row
+    top = [ud.Pass(1, ud.OVER, s_tm), ud.Pass(2, ud.OVER, s_tb)]
+    if t_first == "TB":
+        top.reverse()
+    mid = [ud.Pass(1, ud.UNDER, s_tm), ud.Pass(3, ud.OVER, s_mb)]
+    if m_first == "MB":
+        mid.reverse()
+    low = [ud.Pass(2, ud.UNDER, s_tb), ud.Pass(3, ud.UNDER, s_mb)]
+    if b_first == "MB":
+        low.reverse()
+    return top, mid, low
+
+
+def planted_code(rng: random.Random, components: int) -> str:
+    """Seeded code with planted triple-slide look-alikes (legal or not),
+    pokes, kinks and loose crossings, spread over the given number of
+    components at random positions."""
+    comps = [[] for _ in range(components)]
+
+    def fresh():
+        # every block places both passes of its crossings before the next
+        return sum(map(len, comps)) // 2 + 1
+
+    def put(passes):
+        comp = rng.choice(comps)
+        at = rng.randint(0, len(comp))
+        comp[at:at] = passes
+
+    for _ in range(rng.randint(0, 2)):
+        row = (rng.choice(("TM", "TB")), rng.choice(("TM", "MB")), rng.choice(("TB", "MB")),
+               rng.choice((1, -1)), rng.choice((1, -1)), rng.choice((1, -1)))
+        offset = fresh() - 1
+        for strand in riii_strands(row):
+            put([ud.Pass(p.crossing + offset, p.role, p.sign) for p in strand])
+    for _ in range(rng.randint(0, 2)):
+        x = fresh()
+        y = x + 1
+        s = rng.choice((1, -1))
+        under = [ud.Pass(x, ud.UNDER, s), ud.Pass(y, ud.UNDER, -s)]
+        put([ud.Pass(x, ud.OVER, s), ud.Pass(y, ud.OVER, -s)])
+        put(under if rng.random() < 0.5 else under[::-1])
+    for _ in range(rng.randint(0, 2)):
+        x = fresh()
+        s = rng.choice((1, -1))
+        kink = [ud.Pass(x, ud.OVER, s), ud.Pass(x, ud.UNDER, s)]
+        put(kink if rng.random() < 0.5 else kink[::-1])
+    for _ in range(rng.randint(0, 3)):
+        x = fresh()
+        s = rng.choice((1, -1))
+        put([ud.Pass(x, ud.OVER, s)])
+        put([ud.Pass(x, ud.UNDER, s)])
+    return ud.serialize(ud.Diagram(tuple(tuple(comp) for comp in comps)))
 
 
 # -- independent oracles ----------------------------------------------------
@@ -132,6 +192,65 @@ def brute_shiftable(n: int, m: int) -> list[ud.CocycleTable]:
         if ud.check_cocycle(t):
             found.append(t)
     return found
+
+
+def brute_local_moves(d: ud.Diagram, kind: str) -> list[ud.MoveDescriptor]:
+    """Every RI-remove, RII-remove or RIII descriptor of d, in
+    enumerate_moves order, read off the definitions in the moves module
+    docstring.
+
+    A site is an adjacent pass pair (p, p+1) of a component with at least
+    two passes.  RI-remove tries every site, RII-remove every ordered pair
+    of sites and RIII every ordered triple; only the row table itself is
+    taken from the library.
+    """
+    over, under = ud.OVER, ud.UNDER
+    sites = [((k, p), comp[p], comp[(p + 1) % len(comp)])
+             for k, comp in enumerate(d.components) if len(comp) >= 2
+             for p in range(len(comp))]
+
+    def sign(pas):
+        return "+" if pas.sign > 0 else "-"
+
+    found = []
+    if kind == ud.RI_REMOVE:
+        for site, a, b in sites:
+            if a.crossing == b.crossing:
+                found.append(ud.MoveDescriptor(kind, f"{a.role}{b.role}{sign(a)}", (site,)))
+    elif kind == ud.RII_REMOVE:
+        for (s1, a, b), (s2, c, e) in itertools.product(sites, repeat=2):
+            if ((a.role, b.role, c.role, e.role) != (over, over, under, under)
+                    or a.crossing == b.crossing or a.sign == b.sign):
+                continue
+            for pattern, order in (("parallel", (a, b)), ("antiparallel", (b, a))):
+                if (c.crossing, e.crossing) == (order[0].crossing, order[1].crossing):
+                    found.append(ud.MoveDescriptor(kind, f"{pattern}{sign(a)}", (s1, s2)))
+    elif kind == ud.RIII:
+        def with_roles(*roles):
+            return [s for s in sites if (s[1].role, s[2].role) in roles]
+
+        triples = itertools.product(with_roles((over, over)),
+                                    with_roles((over, under), (under, over)),
+                                    with_roles((under, under)))
+        for (st, t1, t2), (sm, m1, m2), (sb, b1, b2) in triples:
+            m_under, m_over = (m1, m2) if m1.role == under else (m2, m1)
+            tm, mb = m_under.crossing, m_over.crossing
+            t_crossings = [t1.crossing, t2.crossing]
+            if tm not in t_crossings or t1.crossing == t2.crossing:
+                continue
+            tb = t_crossings[1 - t_crossings.index(tm)]
+            if mb in (tm, tb) or {b1.crossing, b2.crossing} != {tb, mb}:
+                continue
+            t_tm, t_tb = (t1, t2) if t1.crossing == tm else (t2, t1)
+            key = ("TM" if t1.crossing == tm else "TB",
+                   "TM" if m1.role == under else "MB",
+                   "TB" if b1.crossing == tb else "MB",
+                   t_tm.sign, t_tb.sign, m_over.sign)
+            if key in _RIII_ROWS:
+                found.append(ud.MoveDescriptor(kind, _RIII_ROWS[key], (st, sm, sb)))
+    else:
+        raise ValueError(f"not a local move kind: {kind!r}")
+    return sorted(found, key=lambda mv: (mv.kind, mv.sites, str(mv.variant)))
 
 
 def fast_phi(d: ud.Diagram, table: ud.CocycleTable) -> tuple[int, ...]:

@@ -189,6 +189,18 @@ class TestInputsAndErrors:
             assert out == ""
             assert "budget" in err
 
+    def test_oversized_integers_exit_one(self, capsys, tmp_path):
+        nines = "9" * 5000
+        table = tmp_path / "big.tab"
+        table.write_text(f"n={nines} m=2\n")
+        for argv in (("validate", f"O{nines}+"),
+                     ("cocycle-check", f"zero({nines},2)"),
+                     ("cocycle-check", f"@{table}")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:")
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "()"])  # --n is required

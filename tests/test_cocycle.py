@@ -47,6 +47,13 @@ class TestBuiltins:
         with pytest.raises(ud.BudgetExceededError):
             ud.builtin_table("zero(100000,2)")
 
+    @pytest.mark.parametrize("name", [f"zero({'9' * 5000},2)", f"zero(2,{'9' * 5000})"],
+                             ids=["n", "m"])
+    def test_zero_oversized_modulus(self, name):
+        # more digits than int() converts
+        with pytest.raises(ud.CocycleError, match="too large"):
+            ud.builtin_table(name)
+
 
 class TestCheckCocycle:
     @pytest.mark.parametrize("name", ["example-f", "example-g", "zero(2,2)", "zero(4,4)"])
@@ -185,6 +192,12 @@ class TestFileFormat:
             ud.parse_table("")
         with pytest.raises(ud.CocycleError):
             ud.parse_table("n=2\n0 0 + 0\n")
+
+    @pytest.mark.parametrize("header", [f"n={'9' * 5000} m=2", f"n=2 m={'9' * 5000}"],
+                             ids=["n", "m"])
+    def test_oversized_header(self, header):
+        with pytest.raises(ud.CocycleError, match="too large"):
+            ud.parse_table(header + "\n0 0 + 0\n")
 
     def test_missing_entries(self):
         with pytest.raises(ud.CocycleError, match="missing"):

@@ -67,6 +67,12 @@ class TestParse:
         with pytest.raises(ud.ValidationError):
             ud.parse(text)
 
+    def test_oversized_crossing_id(self):
+        # more digits than int() converts is still a grammar error
+        with pytest.raises(ud.ParseError) as exc:
+            ud.parse(f"O1+ U1+ O{'9' * 5000}+")
+        assert exc.value.position == 8
+
     def test_whitespace_normalization(self):
         assert ud.serialize(ud.parse("O1-  O2+   U1- U2+")) == "O1- O2+ U1- U2+"
 
@@ -174,6 +180,16 @@ def test_shifts_sum_to_zero(d):
 def test_weighted_shifts_sum_to_zero(d, n, pos, neg):
     assert sum(ud.component_shift(d, k, (pos, neg))
                for k in range(d.num_components)) == 0
+
+
+@given(st.one_of(st.text(), st.text(alphabet="OU0123456789+-;() \n\t")))
+@settings(max_examples=300, deadline=None)
+def test_parse_raises_only_domain_errors(text):
+    try:
+        d = ud.parse(text)
+    except (ud.ParseError, ud.ValidationError):
+        return
+    assert ud.parse(ud.serialize(d)) == d
 
 
 @given(diagrams())

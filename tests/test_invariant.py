@@ -1,5 +1,7 @@
 """Crossing weights, weight-sum multisets and the RII-move certificates."""
 
+import random
+
 import pytest
 
 import updown as ud
@@ -269,7 +271,52 @@ class TestOrientationIndependence:
         assert ud.phi_shift(ud.parse(UNKNOT), G) == 0
 
 
+def balanced_walk(d, steps, seed):
+    """Seeded walk over all five kinds that picks a kind uniformly among
+    those with a site, then one of its sites; yields (kind, diagram).
+    Picking by kind keeps RII-add, which has the most sites, from
+    crowding out the other moves."""
+    rng = random.Random(seed)
+    for _ in range(steps):
+        options = [(kind, moves) for kind in sorted(ud.MOVE_KINDS)
+                   if (moves := ud.enumerate_moves(d, {kind}))]
+        kind, moves = rng.choice(options)
+        d = ud.apply_move(d, rng.choice(moves))
+        yield kind, d
+
+
+# a few shiftable (4,4) tables besides the two named ones
+SOUNDNESS_TABLES = {"f": F, "g": G} | {
+    f"shiftable-{i}": t for i, t in enumerate(ud.enumerate_shiftable(4, 4)) if i % 18 == 9}
+
+
+def certificate_bounds(start, current):
+    """Every certificate's bound between two diagrams, by name, plus the
+    reports that pick the best of them."""
+    bounds = {"nonself": ud.rii_bound_nonself(start, current).bound,
+              "colcount": int(ud.rii_necessity_colcount(start, current) is not None),
+              "report": ud.rii_report(start, current).bound}
+    if start.num_components == 2:
+        bounds["maxord"] = ud.rii_bound_maxord(start, current).bound
+    if start.num_components == 1:
+        for name, table in SOUNDNESS_TABLES.items():
+            bounds[f"phi-{name}"] = int(ud.rii_necessity_phi(start, current, table))
+            bounds[f"report-{name}"] = ud.rii_report(start, current, table).bound
+    return bounds
+
+
 class TestBoundSoundness:
+    @pytest.mark.parametrize("code", [DELTA, tangle(2), "O1+ U2- ; O2- U3+ ; O3+ U1+"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_certificate_within_rii_steps(self, code, seed):
+        # the walk is one move sequence, so no lower bound may exceed its RII count
+        start = ud.parse(code)
+        rii = 0
+        for kind, current in balanced_walk(start, 40, seed):
+            rii += kind in (ud.RII_ADD, ud.RII_REMOVE)
+            for name, bound in certificate_bounds(start, current).items():
+                assert bound <= rii, (name, ud.serialize(current))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_nonself_bound_never_exceeds_known_poke_count(self, seed):
         # ground truth by construction: k poke moves separate d from d'

@@ -1,31 +1,52 @@
 """Rewrite enumeration, application, legality checks and random walks."""
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import updown as ud
-from updown.moves import _RIII_ROWS, _MoveIndex, _descriptor_key
-from helpers import DELTA, KINK, KNOT_CODES, TREFOIL, F6, tangle
+from updown.moves import _RI_VARIANTS, _RII_VARIANTS, _RIII_ROWS, _MoveIndex, _descriptor_key
+from helpers import (
+    DELTA,
+    F6,
+    KINK,
+    KNOT_CODES,
+    TREFOIL,
+    brute_local_moves,
+    planted_code,
+    random_knot_code,
+    riii_strands,
+    tangle,
+)
 
 F = ud.builtin_table("example-f")
 G = ud.builtin_table("example-g")
 ALL_KINDS = ud.MOVE_KINDS
 RI_KINDS = frozenset({ud.RI_ADD, ud.RI_REMOVE, ud.RIII})
+LOCAL_KINDS = (ud.RI_REMOVE, ud.RII_REMOVE, ud.RIII)
+
+# every (T first, M first, B first, signs) key, legal rows and look-alikes
+SLIDE_KEYS = list(itertools.product(("TM", "TB"), ("TM", "MB"), ("TB", "MB"),
+                                    (1, -1), (1, -1), (1, -1)))
 
 
 def realize_riii_row(row):
     """One-component diagram holding the row's configuration at pair starts
     0, 2 and 4; crossings TM=1, TB=2, MB=3."""
-    t_first, m_first, b_first, s_tm, s_tb, s_mb = row
-    top = [ud.Pass(1, ud.OVER, s_tm), ud.Pass(2, ud.OVER, s_tb)]
-    if t_first == "TB":
-        top.reverse()
-    mid = [ud.Pass(1, ud.UNDER, s_tm), ud.Pass(3, ud.OVER, s_mb)]
-    if m_first == "MB":
-        mid.reverse()
-    low = [ud.Pass(2, ud.UNDER, s_tb), ud.Pass(3, ud.UNDER, s_mb)]
-    if b_first == "MB":
-        low.reverse()
+    top, mid, low = riii_strands(row)
     return ud.Diagram((tuple(top + mid + low),))
+
+
+def assert_matches_oracle(d):
+    removed = {ud.RI_REMOVE: 1, ud.RII_REMOVE: 2, ud.RIII: 0}
+    for kind in LOCAL_KINDS:
+        moves = ud.enumerate_moves(d, {kind})
+        assert moves == brute_local_moves(d, kind), (ud.serialize(d), kind)
+        for mv in moves:
+            assert ud.apply_move(d, mv).num_crossings == d.num_crossings - removed[kind]
 
 
 class TestEnumerateBasics:
@@ -175,6 +196,83 @@ class TestTripleSlide:
             for mv in ud.enumerate_moves(d, {ud.RIII}):
                 out = ud.apply_move(d, mv)
                 assert ud.parse(ud.serialize(out)) == out
+
+
+class TestLocalOracle:
+    """The one scan behind the three local kinds against brute force."""
+
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    def test_planted_diagrams(self, components):
+        rng = random.Random(500 + components)
+        for _ in range(150):
+            assert_matches_oracle(ud.parse(planted_code(rng, components)))
+
+    def test_fixtures_and_random_knots(self):
+        rng = random.Random(77)
+        codes = KNOT_CODES + [tangle(1), tangle(2), F6, "O1+ O2- ; U1+ U2-",
+                              "O1+ O2- ; U2- U1+", "O1+ O2- U1+ U2-", "O1- O2+ U2+ U1-"]
+        codes += [random_knot_code(rng, 8) for _ in range(100)]
+        for code in codes:
+            assert_matches_oracle(ud.parse(code))
+
+    @pytest.mark.parametrize("layout", ["one", "bottom-alone", "each-alone"])
+    def test_every_slide_key(self, layout):
+        # a strand alone on a two-pass component is adjacent both ways round
+        for key in SLIDE_KEYS:
+            top, mid, low = riii_strands(key)
+            comps = {"one": [top + mid + low],
+                     "bottom-alone": [top + mid, low],
+                     "each-alone": [top, mid, low]}[layout]
+            d = ud.Diagram(tuple(tuple(comp) for comp in comps))
+            assert_matches_oracle(d)
+            if key in _RIII_ROWS:
+                assert any(mv.variant == _RIII_ROWS[key]
+                           for mv in ud.enumerate_moves(d, {ud.RIII}))
+
+
+FUZZ_FIXTURES = [ud.parse(code) for code in (
+    "()", KINK, DELTA, TREFOIL, tangle(1), "O1+ ; U1+", "O1+ O2- ; U1+ U2-",
+    "O1+ U2- ; O2- U3+ ; O3+ U1+",
+)] + [realize_riii_row(row) for row in sorted(_RIII_ROWS)[::5]] + [
+    ud.Diagram((tuple(top + mid), tuple(low)))
+    for top, mid, low in map(riii_strands, sorted(_RIII_ROWS)[1::5])]
+
+_SITE = st.tuples(st.integers(-2, 12), st.integers(-2, 12))
+_SITES = st.lists(_SITE, max_size=3).map(tuple)
+_VARIANTS = st.sampled_from(_RI_VARIANTS + _RII_VARIANTS + tuple(range(10)) + ("", "x", None))
+_JUNK = st.builds(ud.MoveDescriptor, st.sampled_from(sorted(ALL_KINDS) + ["RIV"]),
+                  _VARIANTS, _SITES)
+
+
+def _near(mv):
+    """The descriptor with its variant, its sites or one site replaced."""
+    return st.one_of(
+        _VARIANTS.map(lambda v: mv._replace(variant=v)),
+        _SITES.map(lambda s: mv._replace(sites=s)),
+        st.tuples(st.integers(0, len(mv.sites) - 1), _SITE).map(
+            lambda t: mv._replace(sites=mv.sites[:t[0]] + (t[1],) + mv.sites[t[0] + 1:])),
+    )
+
+
+class TestApplyFuzz:
+    @given(st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_applies_or_raises_move_error(self, data):
+        d = data.draw(st.sampled_from(FUZZ_FIXTURES))
+        legal = ud.enumerate_moves(d, {data.draw(st.sampled_from(sorted(ALL_KINDS)))})
+        if legal:
+            picks = st.sampled_from(legal)
+            mv = data.draw(st.one_of(_JUNK, picks, picks.flatmap(_near)))
+        else:
+            mv = data.draw(_JUNK)
+        try:
+            out = ud.apply_move(d, mv)
+        except ud.MoveError:
+            out = None
+        else:
+            assert ud.parse(ud.serialize(out)) == out
+        if mv.kind in LOCAL_KINDS:
+            assert (out is not None) == (mv in ud.enumerate_moves(d, {mv.kind}))
 
 
 class TestRandomWalk:
