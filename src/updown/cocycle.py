@@ -10,11 +10,9 @@ the weight sum independent of the chosen coloring.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import UpDownError
 
@@ -47,7 +45,7 @@ class CocycleTable:
         if len(self.entries) != 2 * self.n * self.n:
             raise CocycleError(
                 f"need exactly {2 * self.n * self.n} entries, got {len(self.entries)}")
-        if any(not 0 <= v < self.m for v in self.entries):
+        if min(self.entries) < 0 or max(self.entries) >= self.m:
             raise CocycleError("entries must be reduced residues mod m")
 
     def value(self, a: int, b: int, sign: int) -> int:
@@ -115,40 +113,45 @@ _CONDITIONS = {
         ((_A, -1, _B, -1, -1), (_B, -1, _C, 1, -1), (_A, -1, _C, 1, 1))),
 }
 
-def _flat(n: int, block: int, a: int, b: int) -> int:
-    return block + (a % n) * n + (b % n)
+
+_OUTPUT_BUDGET = 10_000_000
 
 
-@lru_cache(maxsize=64)
-def _condition_indices(n: int):
-    """Per condition: list of ((a,b,c), lhs flat indices, rhs flat indices)."""
-    nn = n * n
-    out = {}
-    for k, (lhs_terms, rhs_terms) in _CONDITIONS.items():
-        rows = []
-        for abc in itertools.product(range(n), repeat=3):
-            def resolve(terms):
-                return tuple(_flat(n, 0 if e > 0 else nn, abc[v1] + o1, abc[v2] + o2)
-                             for v1, o1, v2, o2, e in terms)
-            rows.append((abc, resolve(lhs_terms), resolve(rhs_terms)))
-        out[k] = rows
-    return out
-
-
-@lru_cache(maxsize=1024)
 def cocycle_violation(t: CocycleTable) -> CocycleViolation | None:
-    """First violated condition in order 0..8, least witness first, or None."""
+    """First violated condition in order 0..8, least witness first, or None.
+
+    Past the diagonal, a table passing check_shiftable_system is a cocycle;
+    any other is scanned row by row, or raises BudgetExceededError first
+    when its 8*n**3 condition rows exceed 10**7.
+    """
     n, m, e = t.n, t.m, t.entries
     nn = n * n
     for a in range(n):
         for sign in SIGNS:
-            if e[_flat(n, 0 if sign > 0 else nn, a, a)] % m != 0:
+            if e[(0 if sign > 0 else nn) + a * (n + 1)] != 0:
                 return CocycleViolation(0, (a, sign))
-    for k, rows in _condition_indices(n).items():
-        for abc, lhs, rhs in rows:
-            if (e[lhs[0]] + e[lhs[1]] + e[lhs[2]]
-                    - e[rhs[0]] - e[rhs[1]] - e[rhs[2]]) % m != 0:
-                return CocycleViolation(k, abc)
+    if check_shiftable_system(t):
+        return None
+    if 8 * n ** 3 > _OUTPUT_BUDGET:
+        raise BudgetExceededError(
+            f"{8 * n ** 3} condition rows exceed the output budget of {_OUTPUT_BUDGET}")
+    for k, ((ab1, bc1, ac1), (ab2, bc2, ac2)) in _CONDITIONS.items():
+        # both sides read f(a, b), f(b, c), f(a, c) in that order; a term
+        # (v1, o1, v2, o2, eps) reads (eps < 0)*nn + (x + o1)%n*n + (y + o2)%n
+        for a in range(n):
+            row_ab1 = (ab1[4] < 0) * nn + (a + ab1[1]) % n * n
+            row_ab2 = (ab2[4] < 0) * nn + (a + ab2[1]) % n * n
+            row_ac1 = (ac1[4] < 0) * nn + (a + ac1[1]) % n * n
+            row_ac2 = (ac2[4] < 0) * nn + (a + ac2[1]) % n * n
+            for b in range(n):
+                fixed = e[row_ab1 + (b + ab1[3]) % n] - e[row_ab2 + (b + ab2[3]) % n]
+                row_bc1 = (bc1[4] < 0) * nn + (b + bc1[1]) % n * n
+                row_bc2 = (bc2[4] < 0) * nn + (b + bc2[1]) % n * n
+                for c in range(n):
+                    if (fixed + e[row_bc1 + (c + bc1[3]) % n] + e[row_ac1 + (c + ac1[3]) % n]
+                            - e[row_bc2 + (c + bc2[3]) % n]
+                            - e[row_ac2 + (c + ac2[3]) % n]) % m != 0:
+                        return CocycleViolation(k, (a, b, c))
     return None
 
 
@@ -157,7 +160,6 @@ def check_cocycle(t: CocycleTable) -> bool:
     return cocycle_violation(t) is None
 
 
-@lru_cache(maxsize=1024)
 def is_shiftable(t: CocycleTable) -> bool:
     """True when f(a+1, b+1, eps) == f(a, b, eps) everywhere."""
     n, e = t.n, t.entries
@@ -165,7 +167,7 @@ def is_shiftable(t: CocycleTable) -> bool:
     for block in (0, nn):
         for a in range(n):
             for b in range(n):
-                if e[_flat(n, block, a + 1, b + 1)] != e[block + a * n + b]:
+                if e[block + (a + 1) % n * n + (b + 1) % n] != e[block + a * n + b]:
                     return False
     return True
 
@@ -186,9 +188,6 @@ def check_shiftable_system(t: CocycleTable) -> bool:
         if len({(h[u] - h[(u - 2) % n]) % m for u in range(n)}) > 1:
             return False
     return True
-
-
-_OUTPUT_BUDGET = 10_000_000
 
 
 def _row_space(n: int, m: int) -> tuple[range, range]:

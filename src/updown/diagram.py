@@ -11,7 +11,7 @@ Text grammar (tokens separated by one or more spaces)::
 
     diagram   := component (";" component)*
     component := "()" | pass+
-    pass      := ("O"|"U") integer ("+"|"-")     integers are decimal >= 1
+    pass      := ("O"|"U") integer ("+"|"-")     decimal, 1 <= integer < 10**4000
 
 Semi-arc convention: semi-arc p of a component is the arc immediately
 following pass p (cyclically).  A component with no passes is a closed
@@ -29,6 +29,8 @@ OVER = "O"
 UNDER = "U"
 
 _PASS_RE = re.compile(r"([OU])([0-9]+)([+-])\Z")
+# ids below this, and fresh ids max + 1, stay within str()'s 4300-digit limit
+_ID_LIMIT = 10**4000
 _TOKEN_RE = re.compile(r"\S+")
 
 
@@ -78,8 +80,8 @@ class Diagram:
         signs: dict[int, int] = {}
         for k, comp in enumerate(self.components):
             for p, pas in enumerate(comp):
-                if pas.crossing < 1:
-                    raise ValidationError(f"crossing ids must be >= 1, got {pas.crossing}")
+                if not 0 < pas.crossing < _ID_LIMIT:
+                    raise ValidationError("crossing ids must be >= 1 and below 10**4000")
                 if pas.sign not in (1, -1):
                     raise ValidationError(f"crossing {pas.crossing}: sign must be +1 or -1")
                 if pas.role == OVER:
@@ -184,9 +186,9 @@ def parse(text: str) -> Diagram:
             try:
                 crossing = int(m.group(2))
             except ValueError:  # more digits than int() converts
-                raise ParseError("crossing id has too many digits", pos) from None
-            if crossing < 1:
-                raise ParseError(f"crossing ids start at 1, got {tok!r}", pos)
+                crossing = _ID_LIMIT
+            if not 0 < crossing < _ID_LIMIT:
+                raise ParseError("crossing ids must be >= 1 and below 10**4000", pos)
             passes.append(Pass(crossing, m.group(1), 1 if m.group(3) == "+" else -1))
         components.append(tuple(passes))
     return Diagram(tuple(components))

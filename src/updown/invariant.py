@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cocycle import CocycleTable, cocycle_violation, is_shiftable
-from .coloring import Coloring, ColoringSpec, count_colorings, maxord, solve_colorings
-from .diagram import Diagram
+from .coloring import Coloring, ColoringSpec, maxord, solve_colorings
+from .diagram import Diagram, _semi_arc_offsets
 from .errors import UpDownError
 
 CERT_MAXORD = "maxord-difference"
@@ -74,12 +74,6 @@ def _require_modulus(c: Coloring, table: CocycleTable):
             f"coloring modulus {c.spec.modulus} does not match table modulus {table.n}")
 
 
-def _all_weight_sums(d: Diagram, table: CocycleTable) -> list[int]:
-    sites = [_weight_site(d, x) for x in d.crossing_ids()]
-    return [_site_total(sites, c.colors, table)
-            for c in solve_colorings(d, ColoringSpec(table.n))]
-
-
 def crossing_weight(d: Diagram, c: Coloring, crossing: int, table: CocycleTable) -> int:
     """Table entry of one crossing: positive crossings read the incoming
     under color and outgoing over color, negative ones the outgoing under
@@ -113,24 +107,25 @@ def phi_multiset(d: Diagram, table: CocycleTable, allow_links: bool = False) -> 
             "weight multisets are defined for single-component diagrams; "
             "pass allow_links=True to compute the unproven multi-component variant")
     _require_cocycle(table)
-    return WeightMultiset.of(_all_weight_sums(d, table))
+    sites = [_weight_site(d, x) for x in d.crossing_ids()]
+    return WeightMultiset.of(_site_total(sites, c.colors, table)
+                             for c in solve_colorings(d, ColoringSpec(table.n)))
 
 
 def phi_shift(d: Diagram, table: CocycleTable) -> int:
     """The common weight sum of a knot diagram under a shiftable cocycle.
 
-    Computed from the coloring whose base semi-arc has color 0; the run
-    verifies that every coloring gives the same value.
+    Every coloring of a knot is one color added to the semi-arc offsets,
+    and a shiftable table reads only the difference of its arguments, so
+    one pass over the crossings at color 0 gives every coloring's sum.
     """
     if d.num_components != 1:
         raise InvariantError("the scalar weight sum is defined for single-component diagrams")
     _require_cocycle(table)
     if not is_shiftable(table):
         raise InvariantError("the scalar weight sum needs a shiftable cocycle")
-    sums = _all_weight_sums(d, table)
-    if any(v != sums[0] for v in sums):
-        raise InvariantError("shiftable cocycle produced unequal weight sums")
-    return sums[0]
+    offsets, _ = _semi_arc_offsets(d, 0, (1, 1))
+    return _site_total([_weight_site(d, x) for x in d.crossing_ids()], (offsets,), table)
 
 
 def _require_same_components(d1: Diagram, d2: Diagram):

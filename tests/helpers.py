@@ -4,8 +4,9 @@ The brute-force oracles here deliberately avoid the library's propagation
 solver, position bookkeeping, closed-form cocycle search and move scan:
 colorings are found by filtering every possible color assignment, weight
 sums walk the pass sequences directly, shiftable cocycles are found by
-filtering every difference table through the nine conditions, and local
-move sites by trying every pair or triple of adjacent pass pairs.  They
+filtering every difference table through the nine conditions, condition
+violations by evaluating every identity at every point, and local move
+sites by trying every pair or triple of adjacent pass pairs.  They
 are only usable on small inputs, which is what the frozen expected values
 are derived from.
 """
@@ -18,6 +19,7 @@ import random
 import numpy as np
 
 import updown as ud
+from updown.cocycle import _CONDITIONS
 from updown.moves import _RIII_ROWS
 
 # -- fixture codes ----------------------------------------------------------
@@ -192,6 +194,27 @@ def brute_shiftable(n: int, m: int) -> list[ud.CocycleTable]:
         if ud.check_cocycle(t):
             found.append(t)
     return found
+
+
+def brute_violation(t: ud.CocycleTable) -> ud.CocycleViolation | None:
+    """First failed cocycle condition and its least witness, or None.
+
+    Condition 0 is tried at every (a, sign), then each identity of the
+    condition table at every (a, b, c) in lexicographic order, reading
+    every entry with table.value; only the condition table is taken from
+    the library.
+    """
+    for a in range(t.n):
+        for sign in (1, -1):
+            if t.value(a, a, sign) != 0:
+                return ud.CocycleViolation(0, (a, sign))
+    for k in sorted(_CONDITIONS):
+        for abc in itertools.product(range(t.n), repeat=3):
+            lhs, rhs = (sum(t.value(abc[v1] + o1, abc[v2] + o2, eps)
+                            for v1, o1, v2, o2, eps in side) for side in _CONDITIONS[k])
+            if (lhs - rhs) % t.m:
+                return ud.CocycleViolation(k, abc)
+    return None
 
 
 def brute_local_moves(d: ud.Diagram, kind: str) -> list[ud.MoveDescriptor]:

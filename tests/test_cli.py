@@ -1,5 +1,7 @@
 """Golden-output tests for the command-line interface."""
 
+import time
+
 import pytest
 
 import updown as ud
@@ -200,6 +202,43 @@ class TestInputsAndErrors:
             assert code == 1
             assert out == ""
             assert err.startswith("error:")
+
+    def test_walk_from_oversized_ids_exits_one(self, capsys):
+        # fresh ids max + 1 would pass str()'s 4300-digit limit
+        nines = "9" * 4300
+        code, out, err = run(capsys, "walk", f"O{nines}+ U{nines}+", "--steps", "3",
+                             "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["validate", "cocycle-check"])
+    def test_non_utf8_file_exits_one(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code, out, err = run(capsys, command, f"@{path}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_wide_shiftable_table_checks_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "cocycle-check", "zero(300,2)")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out == "ok=true shiftable=true\n"
+
+    def test_wide_condition_scan_exits_one(self, capsys, tmp_path):
+        # zero diagonal, not shiftable: deciding it needs 8 * 300**3 condition rows
+        path = tmp_path / "wide.cocycle"
+        path.write_text(ud.format_table(
+            ud.CocycleTable.from_function(300, 2, lambda a, b, s: int((a, b) == (0, 1)))))
+        for argv in (("cocycle-check", f"@{path}"),
+                     ("phi", "O1+ U1+", "--cocycle", f"@{path}")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "budget" in err
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,7 @@ import pytest
 
 import updown as ud
 from updown.cocycle import SIGNS
-from helpers import brute_shiftable
+from helpers import brute_shiftable, brute_violation
 
 
 def random_table(rng, n, m):
@@ -87,6 +87,66 @@ class TestCheckCocycle:
         assert v is not None
         assert v.condition >= 1
         assert len(v.witness) == 3
+
+
+def _nonconstant_step_differences(rng, n, m):
+    # h(0) = 0 on both signs, and some sign's h(u) - h(u - 2) is not constant
+    while True:
+        rows = [(0,) + tuple(rng.randrange(m) for _ in range(n - 1)) for _ in SIGNS]
+        if any(len({(h[u] - h[(u - 2) % n]) % m for u in range(n)}) > 1 for h in rows):
+            return ud.CocycleTable.from_differences(n, m, *rows)
+
+
+class TestViolationOracle:
+    """cocycle_violation against brute_violation, which evaluates every
+    condition at every point in order."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_shiftable_cocycles_and_perturbations(self, n):
+        rng = random.Random(600 + n)
+        for m in (2, 3, 4, 5):
+            valid = ud.enumerate_shiftable(n, m)
+            for t in rng.sample(valid, min(3, len(valid))):
+                assert ud.cocycle_violation(t) is None is brute_violation(t)
+                entries = list(t.entries)
+                idx = rng.randrange(len(entries))
+                entries[idx] = (entries[idx] + rng.randrange(1, m)) % m
+                bad = ud.CocycleTable(n, m, tuple(entries))
+                assert ud.cocycle_violation(bad) == brute_violation(bad)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_zero_diagonal_tables(self, n):
+        rng = random.Random(610 + n)
+        for _ in range(30):
+            m = rng.randint(2, 5)
+            entries = [0 if a == b else rng.randrange(m)
+                       for _ in SIGNS for a in range(n) for b in range(n)]
+            t = ud.CocycleTable(n, m, tuple(entries))
+            assert ud.cocycle_violation(t) == brute_violation(t)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_shiftable_with_nonconstant_step(self, n):
+        # the closed form rejects these, so the scan must find the witness;
+        # for n <= 2 the step-2 difference is always constant
+        rng = random.Random(620 + n)
+        for _ in range(30):
+            t = _nonconstant_step_differences(rng, n, rng.randint(2, 5))
+            assert not ud.check_shiftable_system(t)
+            v = ud.cocycle_violation(t)
+            assert v is not None and v == brute_violation(t)
+
+    def test_exhaustive_two_two(self):
+        for vals in itertools.product(range(2), repeat=8):
+            t = ud.CocycleTable(2, 2, vals)
+            assert ud.cocycle_violation(t) == brute_violation(t)
+
+
+class TestConditionBudget:
+    def test_wide_scan_raises_before_reading_rows(self):
+        # zero diagonal, not shiftable: only the 8 * 300**3 row scan could decide
+        t = ud.CocycleTable.from_function(300, 2, lambda a, b, s: int((a, b) == (0, 1)))
+        with pytest.raises(ud.BudgetExceededError, match="condition rows"):
+            ud.cocycle_violation(t)
 
 
 class TestShiftable:
@@ -234,8 +294,9 @@ class TestTableBasics:
             ud.CocycleTable(2, 2, (0,) * 7)
 
     def test_values_must_be_reduced(self):
-        with pytest.raises(ud.CocycleError):
-            ud.CocycleTable(1, 2, (0, 3))
+        for entries in [(0, 3), (-1, 0), (0, 2)]:
+            with pytest.raises(ud.CocycleError, match="reduced residues"):
+                ud.CocycleTable(1, 2, entries)
 
     def test_value_reduces_arguments(self):
         f = ud.builtin_table("example-f")

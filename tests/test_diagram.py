@@ -73,6 +73,16 @@ class TestParse:
             ud.parse(f"O1+ U1+ O{'9' * 5000}+")
         assert exc.value.position == 8
 
+    def test_id_bound(self):
+        # ids stay below 10**4000, so every fresh id max + 1 converts to text
+        top = "9" * 4000
+        assert ud.serialize(ud.parse(f"O{top}+ U{top}+")) == f"O{top}+ U{top}+"
+        with pytest.raises(ud.ParseError) as exc:
+            ud.parse(f"O1+ U1+ O1{'0' * 4000}+")
+        assert exc.value.position == 8
+        with pytest.raises(ud.ValidationError, match="below"):
+            ud.Diagram(((ud.Pass(10**5000, ud.OVER, 1), ud.Pass(10**5000, ud.UNDER, 1)),))
+
     def test_whitespace_normalization(self):
         assert ud.serialize(ud.parse("O1-  O2+   U1- U2+")) == "O1- O2+ U1- U2+"
 

@@ -13,7 +13,9 @@ from helpers import (
     TREFOIL,
     UNKNOT,
     VIRTUAL_TWO,
+    brute_colorings,
     brute_phi,
+    brute_weight_sum,
     tangle,
 )
 
@@ -145,6 +147,21 @@ class TestPhiShift:
         summed = ud.connected_sum(ud.parse(DELTA), d,
                                   ud.SemiArcId(0, 1), ud.SemiArcId(0, 0))
         assert ud.phi_shift(summed, F) == (1 + ud.phi_shift(d, F)) % 4
+
+
+# every shiftable (4,4) table and one at each of (5,5), (6,3) and (8,2)
+SHIFTABLE = ud.enumerate_shiftable(4, 4) + [
+    ud.enumerate_shiftable(n, m)[-1] for n, m in [(5, 5), (6, 3), (8, 2)]]
+
+
+class TestPhiShiftOracle:
+    @pytest.mark.parametrize("code", KNOT_CODES)
+    def test_every_coloring_gives_phi_shift(self, code):
+        d = ud.parse(code)
+        colorings = {n: brute_colorings(d, ud.ColoringSpec(n)) for n in (4, 5, 6, 8)}
+        for table in SHIFTABLE:
+            sums = {brute_weight_sum(d, colors, table) for colors in colorings[table.n]}
+            assert sums == {ud.phi_shift(d, table)}
 
 
 class TestMaxordBound:
