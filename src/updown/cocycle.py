@@ -91,26 +91,26 @@ class CocycleViolation:
         return f"condition={self.condition} witness=a={a},b={b},c={c}"
 
 
-# Conditions 1..8.  A term (v1, o1, v2, o2, eps) stands for the entry
-# f(var_{v1} + o1, var_{v2} + o2, eps) with variables indexed a=0, b=1, c=2.
-_A, _B, _C = 0, 1, 2
+# Conditions 1..8.  Each side sums three entries, read at the variable
+# pairs (a, b), (b, c) and (a, c) in that order; the term (o1, o2, eps) at
+# the pair (x, y) stands for f(x + o1, y + o2, eps).
 _CONDITIONS = {
-    1: (((_A, -1, _B, 0, -1), (_B, 1, _C, 1, 1), (_A, -1, _C, 2, 1)),
-        ((_A, -2, _B, -1, -1), (_B, 0, _C, 2, 1), (_A, 0, _C, 1, 1))),
-    2: (((_A, -1, _B, 0, -1), (_B, 0, _C, 1, -1), (_A, -2, _C, 0, -1)),
-        ((_A, -2, _B, -1, -1), (_B, -1, _C, 0, -1), (_A, -1, _C, 1, -1))),
-    3: (((_A, -1, _B, 1, 1), (_B, 1, _C, 1, 1), (_A, -1, _C, 1, -1)),
-        ((_A, 0, _B, 0, 1), (_B, 0, _C, 2, 1), (_A, -2, _C, 0, -1))),
-    4: (((_A, -1, _B, 1, 1), (_B, 0, _C, 1, -1), (_A, 0, _C, 1, 1)),
-        ((_A, 0, _B, 0, 1), (_B, -1, _C, 0, -1), (_A, -1, _C, 2, 1))),
-    5: (((_A, 0, _B, 1, 1), (_B, 1, _C, 2, 1), (_A, -1, _C, 1, 1)),
-        ((_A, -1, _B, 0, 1), (_B, 0, _C, 1, 1), (_A, 0, _C, 2, 1))),
-    6: (((_A, 0, _B, 1, 1), (_B, 0, _C, 0, -1), (_A, -2, _C, 1, -1)),
-        ((_A, -1, _B, 0, 1), (_B, -1, _C, 1, -1), (_A, -1, _C, 0, -1))),
-    7: (((_A, -2, _B, 0, -1), (_B, 1, _C, 2, 1), (_A, -1, _C, 0, -1)),
-        ((_A, -1, _B, -1, -1), (_B, 0, _C, 1, 1), (_A, -2, _C, 1, -1))),
-    8: (((_A, -2, _B, 0, -1), (_B, 0, _C, 0, -1), (_A, 0, _C, 2, 1)),
-        ((_A, -1, _B, -1, -1), (_B, -1, _C, 1, -1), (_A, -1, _C, 1, 1))),
+    1: (((-1, 0, -1), (1, 1, 1), (-1, 2, 1)),
+        ((-2, -1, -1), (0, 2, 1), (0, 1, 1))),
+    2: (((-1, 0, -1), (0, 1, -1), (-2, 0, -1)),
+        ((-2, -1, -1), (-1, 0, -1), (-1, 1, -1))),
+    3: (((-1, 1, 1), (1, 1, 1), (-1, 1, -1)),
+        ((0, 0, 1), (0, 2, 1), (-2, 0, -1))),
+    4: (((-1, 1, 1), (0, 1, -1), (0, 1, 1)),
+        ((0, 0, 1), (-1, 0, -1), (-1, 2, 1))),
+    5: (((0, 1, 1), (1, 2, 1), (-1, 1, 1)),
+        ((-1, 0, 1), (0, 1, 1), (0, 2, 1))),
+    6: (((0, 1, 1), (0, 0, -1), (-2, 1, -1)),
+        ((-1, 0, 1), (-1, 1, -1), (-1, 0, -1))),
+    7: (((-2, 0, -1), (1, 2, 1), (-1, 0, -1)),
+        ((-1, -1, -1), (0, 1, 1), (-2, 1, -1))),
+    8: (((-2, 0, -1), (0, 0, -1), (0, 2, 1)),
+        ((-1, -1, -1), (-1, 1, -1), (-1, 1, 1))),
 }
 
 
@@ -118,39 +118,38 @@ _OUTPUT_BUDGET = 10_000_000
 
 
 def cocycle_violation(t: CocycleTable) -> CocycleViolation | None:
-    """First violated condition in order 0..8, least witness first, or None.
+    """First violated condition in order 0..8, least witness first, or None;
+    a table passing check_shiftable_system is a cocycle without a scan."""
+    return None if check_shiftable_system(t) else _scan_violation(t)
 
-    Past the diagonal, a table passing check_shiftable_system is a cocycle;
-    any other is scanned row by row, or raises BudgetExceededError first
-    when its 8*n**3 condition rows exceed 10**7.
-    """
+
+def _scan_violation(t: CocycleTable) -> CocycleViolation | None:
+    """cocycle_violation without the closed form: the diagonal, then the 8*n**3
+    rows of conditions 1..8, or BudgetExceededError when they exceed 10**7."""
     n, m, e = t.n, t.m, t.entries
     nn = n * n
     for a in range(n):
         for sign in SIGNS:
             if e[(0 if sign > 0 else nn) + a * (n + 1)] != 0:
                 return CocycleViolation(0, (a, sign))
-    if check_shiftable_system(t):
-        return None
     if 8 * n ** 3 > _OUTPUT_BUDGET:
         raise BudgetExceededError(
             f"{8 * n ** 3} condition rows exceed the output budget of {_OUTPUT_BUDGET}")
     for k, ((ab1, bc1, ac1), (ab2, bc2, ac2)) in _CONDITIONS.items():
-        # both sides read f(a, b), f(b, c), f(a, c) in that order; a term
-        # (v1, o1, v2, o2, eps) reads (eps < 0)*nn + (x + o1)%n*n + (y + o2)%n
+        # a term (o1, o2, eps) at (x, y) reads (eps < 0)*nn + (x + o1)%n*n + (y + o2)%n
         for a in range(n):
-            row_ab1 = (ab1[4] < 0) * nn + (a + ab1[1]) % n * n
-            row_ab2 = (ab2[4] < 0) * nn + (a + ab2[1]) % n * n
-            row_ac1 = (ac1[4] < 0) * nn + (a + ac1[1]) % n * n
-            row_ac2 = (ac2[4] < 0) * nn + (a + ac2[1]) % n * n
+            row_ab1 = (ab1[2] < 0) * nn + (a + ab1[0]) % n * n
+            row_ab2 = (ab2[2] < 0) * nn + (a + ab2[0]) % n * n
+            row_ac1 = (ac1[2] < 0) * nn + (a + ac1[0]) % n * n
+            row_ac2 = (ac2[2] < 0) * nn + (a + ac2[0]) % n * n
             for b in range(n):
-                fixed = e[row_ab1 + (b + ab1[3]) % n] - e[row_ab2 + (b + ab2[3]) % n]
-                row_bc1 = (bc1[4] < 0) * nn + (b + bc1[1]) % n * n
-                row_bc2 = (bc2[4] < 0) * nn + (b + bc2[1]) % n * n
+                fixed = e[row_ab1 + (b + ab1[1]) % n] - e[row_ab2 + (b + ab2[1]) % n]
+                row_bc1 = (bc1[2] < 0) * nn + (b + bc1[0]) % n * n
+                row_bc2 = (bc2[2] < 0) * nn + (b + bc2[0]) % n * n
                 for c in range(n):
-                    if (fixed + e[row_bc1 + (c + bc1[3]) % n] + e[row_ac1 + (c + ac1[3]) % n]
-                            - e[row_bc2 + (c + bc2[3]) % n]
-                            - e[row_ac2 + (c + ac2[3]) % n]) % m != 0:
+                    if (fixed + e[row_bc1 + (c + bc1[1]) % n] + e[row_ac1 + (c + ac1[1]) % n]
+                            - e[row_bc2 + (c + bc2[1]) % n]
+                            - e[row_ac2 + (c + ac2[1]) % n]) % m:
                         return CocycleViolation(k, (a, b, c))
     return None
 
@@ -173,8 +172,8 @@ def is_shiftable(t: CocycleTable) -> bool:
 
 
 def check_shiftable_system(t: CocycleTable) -> bool:
-    """The reduced test for shiftable cocycles; equals check_cocycle(t) and
-    is_shiftable(t).
+    """The reduced test for shiftable cocycles; equals is_shiftable(t) and
+    a clean condition scan (_scan_violation(t) is None).
 
     Write f(a, b, eps) = h_eps((a - b) mod n).  For a shiftable table the
     nine conditions reduce, sign by sign, to h_eps(0) = 0 and a step-2

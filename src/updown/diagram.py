@@ -29,7 +29,7 @@ OVER = "O"
 UNDER = "U"
 
 _PASS_RE = re.compile(r"([OU])([0-9]+)([+-])\Z")
-# ids below this, and fresh ids max + 1, stay within str()'s 4300-digit limit
+# ids below this stay within str()'s 4300-digit limit; moves add no id at or past it
 _ID_LIMIT = 10**4000
 _TOKEN_RE = re.compile(r"\S+")
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .diagram import OVER, UNDER, Diagram, Pass
+from .diagram import _ID_LIMIT, OVER, UNDER, Diagram, Pass
 from .errors import UpDownError
 
 RI_ADD = "RI-add"
@@ -183,8 +183,9 @@ class _MoveIndex:
             raise MoveError(f"unknown move kinds: {sorted(bad)}")
         self.arcs = _all_arcs(d)
         n_arcs = len(self.arcs)
-        self.ri_add = 4 * n_arcs if RI_ADD in kinds else 0
-        self.rii_add = 4 * n_arcs * (n_arcs - 1) if RII_ADD in kinds else 0
+        room = _ID_LIMIT - 1 - d.max_crossing_id()  # fresh ids: RI-add takes 1, RII-add 2
+        self.ri_add = 4 * n_arcs if RI_ADD in kinds and room >= 1 else 0
+        self.rii_add = 4 * n_arcs * (n_arcs - 1) if RII_ADD in kinds and room >= 2 else 0
         local = []
         if kinds & _LOCAL_KINDS:
             for k, comp in enumerate(d.components):
@@ -233,6 +234,12 @@ def _site(d: Diagram, site: tuple[int, int], arc: bool) -> tuple[int, int]:
     return k, p
 
 
+def _fresh_id(d: Diagram, count: int) -> int:
+    fresh = d.max_crossing_id() + 1
+    _require(fresh + count <= _ID_LIMIT, f"no {count} fresh crossing ids below 10**4000")
+    return fresh
+
+
 def _insert(comp: tuple[Pass, ...], position: int, inserted: tuple[Pass, ...]):
     # insert on arc p means between pass p and pass p+1; empty components
     # take the insertion as their whole sequence
@@ -245,7 +252,7 @@ def _apply_ri_add(d: Diagram, mv: MoveDescriptor) -> Diagram:
     _require(len(mv.sites) == 1, "RI-add takes one site")
     k, p = _site(d, mv.sites[0], arc=True)
     roles, sign = mv.variant[:2], 1 if mv.variant[2] == "+" else -1
-    fresh = d.max_crossing_id() + 1
+    fresh = _fresh_id(d, 1)
     pair = tuple(Pass(fresh, role, sign) for role in roles)
     comps = list(d.components)
     comps[k] = _insert(comps[k], p, pair)
@@ -267,7 +274,7 @@ def _apply_rii_add(d: Diagram, mv: MoveDescriptor) -> Diagram:
     (k1, p1) = _site(d, mv.sites[0], arc=True)
     (k2, p2) = _site(d, mv.sites[1], arc=True)
     _require((k1, p1) != (k2, p2), "the two RII-add sites must be distinct arcs")
-    fresh = d.max_crossing_id() + 1
+    fresh = _fresh_id(d, 2)
     sign_x = 1 if mv.variant.endswith("+") else -1
     over, under = _rii_passes(mv.variant, fresh, fresh + 1, sign_x)
     comps = list(d.components)

@@ -19,7 +19,7 @@ import random
 import numpy as np
 
 import updown as ud
-from updown.cocycle import _CONDITIONS
+from updown.cocycle import _CONDITIONS, _scan_violation
 from updown.moves import _RIII_ROWS
 
 # -- fixture codes ----------------------------------------------------------
@@ -186,12 +186,13 @@ def brute_phi(d: ud.Diagram, table: ud.CocycleTable) -> tuple[int, ...]:
 def brute_shiftable(n: int, m: int) -> list[ud.CocycleTable]:
     """Every shiftable cocycle into Z_m in enumerate_shiftable's order,
     found by filtering all m**(2(n-1)) difference vectors with h(0) = 0
-    through check_cocycle, in lexicographic order (plus row first)."""
+    through the condition scan (not the closed form), in lexicographic
+    order (plus row first)."""
     found = []
     for vec in itertools.product(range(m), repeat=2 * (n - 1)):
         t = ud.CocycleTable.from_differences(
             n, m, (0,) + vec[:n - 1], (0,) + vec[n - 1:])
-        if ud.check_cocycle(t):
+        if _scan_violation(t) is None:
             found.append(t)
     return found
 
@@ -209,11 +210,12 @@ def brute_violation(t: ud.CocycleTable) -> ud.CocycleViolation | None:
             if t.value(a, a, sign) != 0:
                 return ud.CocycleViolation(0, (a, sign))
     for k in sorted(_CONDITIONS):
-        for abc in itertools.product(range(t.n), repeat=3):
-            lhs, rhs = (sum(t.value(abc[v1] + o1, abc[v2] + o2, eps)
-                            for v1, o1, v2, o2, eps in side) for side in _CONDITIONS[k])
+        for a, b, c in itertools.product(range(t.n), repeat=3):
+            lhs, rhs = (sum(t.value(x + o1, y + o2, eps)
+                            for (x, y), (o1, o2, eps) in zip(((a, b), (b, c), (a, c)), side))
+                        for side in _CONDITIONS[k])
             if (lhs - rhs) % t.m:
-                return ud.CocycleViolation(k, abc)
+                return ud.CocycleViolation(k, (a, b, c))
     return None
 
 

@@ -11,6 +11,7 @@ import random
 import pytest
 
 import updown as ud
+from updown.cocycle import _scan_violation
 from helpers import (
     DELTA,
     F6,
@@ -91,7 +92,8 @@ def test_criterion_04_cocycle_checker():
 
 
 def _equivalence_holds(t: ud.CocycleTable) -> bool:
-    return ud.check_shiftable_system(t) == (ud.check_cocycle(t) and ud.is_shiftable(t))
+    # the condition scan, not check_cocycle, which trusts the closed form
+    return ud.check_shiftable_system(t) == (_scan_violation(t) is None and ud.is_shiftable(t))
 
 
 def _all_tables(n, m):
@@ -100,7 +102,7 @@ def _all_tables(n, m):
 
 
 def test_criterion_05_shiftable_system_equivalence():
-    """check_shiftable_system agrees with check_cocycle plus is_shiftable.
+    """check_shiftable_system agrees with the condition scan plus is_shiftable.
 
     (2,2), (2,3) and (3,2) are swept in full.  At (3,3) the zero-diagonal
     stratum (3**12 tables) is swept in full; a nonzero diagonal entry
@@ -268,7 +270,7 @@ def test_criterion_10_enumeration_goldens():
     assert F in four_four
     assert G in four_four
     for t in four_four:
-        assert ud.check_cocycle(t)
+        assert _scan_violation(t) is None
         assert ud.is_shiftable(t)
     print("PASS criterion 10: shiftable counts 1 (n=1, m=1..4), 4 at (2,2), "
           "64 at (4,4) containing example-f and example-g")

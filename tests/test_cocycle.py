@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import updown as ud
-from updown.cocycle import SIGNS
+from updown.cocycle import SIGNS, _scan_violation
 from helpers import brute_shiftable, brute_violation
 
 
@@ -107,7 +107,7 @@ class TestViolationOracle:
         for m in (2, 3, 4, 5):
             valid = ud.enumerate_shiftable(n, m)
             for t in rng.sample(valid, min(3, len(valid))):
-                assert ud.cocycle_violation(t) is None is brute_violation(t)
+                assert ud.cocycle_violation(t) is None is _scan_violation(t) is brute_violation(t)
                 entries = list(t.entries)
                 idx = rng.randrange(len(entries))
                 entries[idx] = (entries[idx] + rng.randrange(1, m)) % m
@@ -168,14 +168,14 @@ class TestSystemEquivalence:
         for vals in itertools.product(range(2), repeat=8):
             t = ud.CocycleTable(2, 2, vals)
             assert ud.check_shiftable_system(t) == (
-                ud.check_cocycle(t) and ud.is_shiftable(t))
+                _scan_violation(t) is None and ud.is_shiftable(t))
 
     def test_random_three_three(self):
         rng = random.Random(99)
         for _ in range(500):
             t = random_table(rng, 3, 3)
             assert ud.check_shiftable_system(t) == (
-                ud.check_cocycle(t) and ud.is_shiftable(t))
+                _scan_violation(t) is None and ud.is_shiftable(t))
 
 
 class TestEnumerate:
@@ -188,7 +188,7 @@ class TestEnumerate:
         tables = ud.enumerate_shiftable(2, 2)
         assert len(tables) == 4
         for t in tables:
-            assert ud.check_cocycle(t)
+            assert _scan_violation(t) is None
             assert ud.is_shiftable(t)
 
     def test_three_three_golden(self):
@@ -216,7 +216,7 @@ class TestEnumerate:
     def test_counts_beyond_brute_force(self, n, m, count):
         tables = ud.enumerate_shiftable(n, m)
         assert len(set(tables)) == len(tables) == count
-        assert ud.check_cocycle(tables[-1]) and ud.is_shiftable(tables[-1])
+        assert _scan_violation(tables[-1]) is None and ud.is_shiftable(tables[-1])
 
     def test_budget_guard(self):
         # both requests would build more than 10**10 entries; (10**5, 1) has

@@ -111,6 +111,18 @@ class TestKinkMoves:
         with pytest.raises(ud.MoveError):
             ud.apply_move(ud.parse(DELTA), ud.MoveDescriptor(ud.RI_REMOVE, "OU+", ((0, 0),)))
 
+    def test_no_fresh_id_at_the_bound(self):
+        # crossing ids stay below 10**4000: a max id of 10**4000 - 2 leaves one
+        # fresh id, enough for RI-add but not RII-add, and 10**4000 - 1 none
+        for top, ri_adds in ((10**4000 - 2, 4 * 2), (10**4000 - 1, 0)):
+            d = ud.Diagram(((ud.Pass(top, ud.OVER, 1), ud.Pass(top, ud.UNDER, 1)),))
+            kinds = [mv.kind for mv in ud.enumerate_moves(d, ud.MOVE_KINDS)]
+            assert kinds == [ud.RI_ADD] * ri_adds + [ud.RI_REMOVE] * 2
+            with pytest.raises(ud.MoveError, match="fresh"):
+                ud.apply_move(d, ud.MoveDescriptor(ud.RII_ADD, "parallel+", ((0, 0), (0, 1))))
+        with pytest.raises(ud.MoveError, match="fresh"):
+            ud.apply_move(d, ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 0),)))
+
     def test_remove_variant_must_match(self):
         with pytest.raises(ud.MoveError):
             ud.apply_move(ud.parse(KINK), ud.MoveDescriptor(ud.RI_REMOVE, "UO+", ((0, 0),)))
