@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cocycle import CocycleTable, cocycle_violation, is_shiftable
+from .cocycle import CocycleTable, check_shiftable_system, cocycle_violation
 from .coloring import Coloring, ColoringSpec, maxord, solve_colorings
 from .diagram import Diagram, _semi_arc_offsets
 from .errors import UpDownError
@@ -121,8 +121,8 @@ def phi_shift(d: Diagram, table: CocycleTable) -> int:
     """
     if d.num_components != 1:
         raise InvariantError("the scalar weight sum is defined for single-component diagrams")
-    _require_cocycle(table)
-    if not is_shiftable(table):
+    if not check_shiftable_system(table):  # a shiftable cocycle passes; report why not
+        _require_cocycle(table)
         raise InvariantError("the scalar weight sum needs a shiftable cocycle")
     offsets, _ = _semi_arc_offsets(d, 0, (1, 1))
     return _site_total([_weight_site(d, x) for x in d.crossing_ids()], (offsets,), table)

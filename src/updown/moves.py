@@ -24,12 +24,16 @@ covers the two rows that are the two sides of one move.
 Legality of the three local kinds (RI-remove, RII-remove, RIII) lives in
 one scan, _local_moves, which reads each adjacent pass pair once.
 enumerate_moves runs it over every position; apply_move runs it over the
-descriptor's first site only.
+descriptor's first site only; random_walk runs it over every position
+once, then after each move only next to the passes the move touched
+(_rescan), carrying the other sites over.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from typing import NamedTuple
 
 from .diagram import _ID_LIMIT, OVER, UNDER, Diagram, Pass
@@ -97,10 +101,6 @@ def _sign_char(sign: int) -> str:
 
 def _descriptor_key(mv: MoveDescriptor):
     return (mv.kind, mv.sites, str(mv.variant))
-
-
-def _all_arcs(d: Diagram) -> list[tuple[int, int]]:
-    return [(k, p) for k in range(d.num_components) for p in range(d.arc_count(k))]
 
 
 def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
@@ -172,46 +172,99 @@ class _MoveIndex:
     """Counts and positional access for the moves of one diagram.
 
     Index i enumerates, in order, the RI-add block (arcs major, variants
-    minor), the sorted RI-remove list, the RII-add block (ordered arc pairs
-    major, variants minor) and the sorted RII-remove then RIII list; this
-    matches the order of enumerate_moves exactly.
+    minor), the RI-remove descriptors, the RII-add block (ordered arc pairs
+    major, variants minor) and the RII-remove then RIII descriptors; this
+    matches the order of enumerate_moves exactly.  local, when given, is the
+    diagram's sorted RI-remove, RII-remove and RIII list, which random_walk
+    carries from step to step, rescanning only the pass pairs next to the
+    last move (_rescan); otherwise every position is scanned.
     """
 
-    def __init__(self, d: Diagram, kinds):
+    def __init__(self, d: Diagram, kinds, local=None):
         bad = set(kinds) - MOVE_KINDS
         if bad:
             raise MoveError(f"unknown move kinds: {sorted(bad)}")
-        self.arcs = _all_arcs(d)
-        n_arcs = len(self.arcs)
+        # arc i is (k, i - starts[k]) for the last k with starts[k] <= i
+        self.starts = list(accumulate((d.arc_count(k) for k in range(d.num_components)),
+                                      initial=0))
+        n_arcs = self.starts[-1]
         room = _ID_LIMIT - 1 - d.max_crossing_id()  # fresh ids: RI-add takes 1, RII-add 2
         self.ri_add = 4 * n_arcs if RI_ADD in kinds and room >= 1 else 0
         self.rii_add = 4 * n_arcs * (n_arcs - 1) if RII_ADD in kinds and room >= 2 else 0
-        local = []
-        if kinds & _LOCAL_KINDS:
-            for k, comp in enumerate(d.components):
-                local += _local_moves(d, kinds, k, range(len(comp)))
-        # RI-remove < RII-remove < RIII in the key, so the sort splits by kind
-        local.sort(key=_descriptor_key)
+        if local is None:
+            local = []
+            if kinds & _LOCAL_KINDS:
+                for k, comp in enumerate(d.components):
+                    local += _local_moves(d, kinds, k, range(len(comp)))
+            # RI-remove < RII-remove < RIII in the key, so the sort splits by kind
+            local.sort(key=_descriptor_key)
+        self.local = local
         n_ri = sum(mv.kind == RI_REMOVE for mv in local)
         self.ri_removes, self.rest = local[:n_ri], local[n_ri:]
         self.total = self.ri_add + self.rii_add + len(local)
 
+    def _arc(self, i: int) -> tuple[int, int]:
+        k = bisect_right(self.starts, i) - 1
+        return k, i - self.starts[k]
+
     def descriptor(self, idx: int) -> MoveDescriptor:
         if idx < self.ri_add:
             arc, var = divmod(idx, 4)
-            return MoveDescriptor(RI_ADD, _RI_VARIANTS[var], (self.arcs[arc],))
+            return MoveDescriptor(RI_ADD, _RI_VARIANTS[var], (self._arc(arc),))
         idx -= self.ri_add
         if idx < len(self.ri_removes):
             return self.ri_removes[idx]
         idx -= len(self.ri_removes)
         if idx < self.rii_add:
             pair, var = divmod(idx, 4)
-            n_arcs = len(self.arcs)
-            i, r = divmod(pair, n_arcs - 1)
+            i, r = divmod(pair, self.starts[-1] - 1)
             j = r if r < i else r + 1
-            return MoveDescriptor(RII_ADD, _RII_VARIANTS[var],
-                                  (self.arcs[i], self.arcs[j]))
+            return MoveDescriptor(RII_ADD, _RII_VARIANTS[var], (self._arc(i), self._arc(j)))
         return self.rest[idx - self.rii_add]
+
+
+def _rescan(old: Diagram, new: Diagram, mv: MoveDescriptor, kinds,
+            local: list[MoveDescriptor]) -> list[MoveDescriptor]:
+    """The sorted local descriptors of new, from those of old (local) and the
+    move mv that turned old into new.
+
+    A local descriptor's legality depends only on the passes of its pairs
+    and on their adjacency.  A cached descriptor survives, at its passes'
+    new positions, when each of its pairs is still adjacent.  A pair that
+    became adjacent has both passes on crossings within one pass of a site
+    of mv, or fresh ones, and the first pair of a site holds the over pass
+    of a crossing of each of its pairs; so scanning next to both passes of
+    those crossings finds every new site.
+    """
+    touched = set()
+    for k, p in mv.sites:
+        comp = old.components[k]
+        touched.update(comp[i % len(comp)].crossing for i in range(p - 1, p + 3) if comp)
+    if mv.kind in (RI_ADD, RII_ADD):
+        fresh = old.max_crossing_id() + 1
+        touched.update(range(fresh, fresh + len(mv.sites)))  # one id per site
+    rescanned: dict[int, set[int]] = {}
+    for x in touched & new._signs.keys():
+        for k, q in (new._over_at[x], new._under_at[x]):
+            rescanned.setdefault(k, set()).update(((q - 1) % len(new.components[k]), q))
+    out = []
+    for cached in local:
+        sites = []
+        for k, p in cached.sites:
+            comp, now = old.components[k], new.components[k]
+            a = comp[p]
+            at = (new._over_at if a.role == OVER else new._under_at).get(a.crossing)
+            if at is None or now[(at[1] + 1) % len(now)] != comp[(p + 1) % len(comp)]:
+                break
+            sites.append(at)
+        else:
+            k, p = sites[0]
+            if p not in rescanned.get(k, ()):
+                out.append(MoveDescriptor(cached.kind, cached.variant, tuple(sites)))
+    for k, positions in rescanned.items():
+        out += _local_moves(new, kinds, k, positions)
+    out.sort(key=_descriptor_key)
+    return out
 
 
 def enumerate_moves(d: Diagram, kinds) -> list[MoveDescriptor]:
@@ -344,13 +397,15 @@ def random_walk(d: Diagram, steps: int, kinds, seed: int
         raise MoveError("kinds must be nonempty")
     rng = random.Random(seed)
     trajectory = []
-    current = d
+    current, local = d, None
     for _ in range(steps):
-        index = _MoveIndex(current, kinds)
+        index = _MoveIndex(current, kinds, local)
+        local = index.local
         if index.total == 0:
             trajectory.append((None, current))
             continue
         mv = index.descriptor(rng.randrange(index.total))
-        current = apply_move(current, mv)
+        new = apply_move(current, mv)
+        current, local = new, _rescan(current, new, mv, kinds, local)
         trajectory.append((mv, current))
     return trajectory

@@ -102,6 +102,21 @@ class TestCocycleCommands:
         assert code == 0
         assert out == "ok=false condition=0 witness=a=0,eps=+\n"
 
+    @pytest.mark.parametrize("shiftable", [True, False])
+    def test_check_runs_shiftable_test_once(self, capsys, tmp_path, monkeypatch, shiftable):
+        # a valid but non-shiftable cocycle over Z_2: entries (1,0,+) and (1,0,-)
+        table = ud.builtin_table("example-f") if shiftable else ud.CocycleTable.from_function(
+            2, 2, lambda a, b, s: 1 if (a, b) == (1, 0) else 0)
+        path = tmp_path / "t.cocycle"
+        path.write_text(ud.format_table(table))
+        calls = []
+        real = ud.cocycle.is_shiftable
+        monkeypatch.setattr(ud.cocycle, "is_shiftable", lambda t: calls.append(t) or real(t))
+        code, out, _ = run(capsys, "cocycle-check", f"@{path}")
+        assert code == 0
+        assert out == f"ok=true shiftable={'true' if shiftable else 'false'}\n"
+        assert calls == [table]
+
     def test_check_file_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "f.cocycle"
         path.write_text(ud.format_table(ud.builtin_table("example-f")))
@@ -226,6 +241,7 @@ class TestInputsAndErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+        assert repr(str(path)) in err
 
     def test_wide_shiftable_table_skips_the_scan(self, capsys, monkeypatch):
         # the closed form accepts it, so none of the 8 * 300**3 condition rows is read

@@ -141,6 +141,24 @@ class TestPhiShift:
         with pytest.raises(ud.InvariantError):
             ud.phi_shift(ud.parse(tangle(1)), F)
 
+    @pytest.mark.parametrize("table", [
+        ud.CocycleTable.from_function(4, 4, lambda a, b, s: (a + b) % 4),
+        ud.CocycleTable.from_function(3, 3, lambda a, b, s: int((a, b) == (0, 1)))],
+        ids=["nonzero-diagonal", "zero-diagonal"])
+    def test_non_cocycle_reported_before_non_shiftable(self, table):
+        assert not ud.is_shiftable(table) and not ud.check_cocycle(table)
+        with pytest.raises(ud.InvariantError, match="not an up-down cocycle"):
+            ud.phi_shift(ud.parse(DELTA), table)
+
+    def test_shiftable_check_runs_once(self, monkeypatch):
+        calls = []
+        real = ud.cocycle.is_shiftable
+        for module in (ud.cocycle, ud.invariant):  # wherever the name is bound
+            monkeypatch.setattr(module, "is_shiftable", lambda t: calls.append(t) or real(t),
+                                raising=False)
+        assert ud.phi_shift(ud.parse(DELTA), F) == 1
+        assert calls == [F]
+
     @pytest.mark.parametrize("code", KNOT_CODES)
     def test_delta_prepend_adds_one(self, code):
         d = ud.parse(code)

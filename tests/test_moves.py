@@ -1,5 +1,6 @@
 """Rewrite enumeration, application, legality checks and random walks."""
 
+import hashlib
 import itertools
 import random
 
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import updown as ud
-from updown.moves import _RI_VARIANTS, _RII_VARIANTS, _RIII_ROWS, _MoveIndex, _descriptor_key
+from updown import moves
+from updown.moves import (
+    _RI_VARIANTS,
+    _RII_VARIANTS,
+    _RIII_ROWS,
+    _MoveIndex,
+    _descriptor_key,
+    _rescan,
+)
 from helpers import (
     DELTA,
     F6,
@@ -320,6 +329,98 @@ class TestRandomWalk:
         d = ud.parse(tangle(1))
         for mv, current in ud.random_walk(d, 40, ALL_KINDS, seed=11):
             assert ud.parse(ud.serialize(current)) == current
+
+
+def _grown(code, seed, kinds=ALL_KINDS, steps=40):
+    """The last diagram of a seeded walk; walks over every kind mostly add pokes."""
+    return ud.serialize(ud.random_walk(ud.parse(code), steps, kinds, seed)[-1][1])
+
+
+# twenty kinks of alternating sign and order
+KINKS = " ".join(f"O{x}+ U{x}+" if x % 2 else f"U{x}- O{x}-" for x in range(1, 21))
+LOCAL_KIND_SETS = [frozenset(c) for r in (1, 2, 3) for c in itertools.combinations(LOCAL_KINDS, r)]
+ADD_KIND_SETS = [frozenset(), {ud.RI_ADD}, {ud.RII_ADD}, {ud.RI_ADD, ud.RII_ADD}]
+CARRY_STARTS = (
+    [planted_code(random.Random(seed), c) for c in (1, 2, 3) for seed in range(4)]
+    + KNOT_CODES
+    + [tangle(1), tangle(2), "O1+ U2- ; O2- U3+ ; O3+ U1+", "() ; O1+ U1+",
+       "O1+ O2- ; U1+ U2-", "O1+ O2- ; U2- U1+ ; ()", KINKS]
+    + [_grown(code, seed) for seed, code in enumerate(
+        [DELTA, tangle(2), TREFOIL, "O1+ U2- ; O2- U3+ ; O3+ U1+", planted_code(random.Random(5), 2)])]
+)
+
+
+class TestCarriedIndex:
+    """random_walk rescans only next to the last move; its carried list of
+    local descriptors must equal the full scan at every step."""
+
+    @pytest.mark.parametrize("local", LOCAL_KIND_SETS, ids=lambda k: ",".join(sorted(k)))
+    @pytest.mark.parametrize("adds", ADD_KIND_SETS, ids=lambda k: ",".join(sorted(k)) or "none")
+    def test_equals_full_scan(self, monkeypatch, local, adds):
+        kinds = local | adds
+        checked = []
+
+        def rescan(old, new, mv, kinds, carried):
+            out = _rescan(old, new, mv, kinds, carried)
+            assert out == _MoveIndex(new, kinds).local, (ud.serialize(old), mv)
+            checked.append(mv)
+            return out
+
+        monkeypatch.setattr(moves, "_rescan", rescan)
+        for i, code in enumerate(CARRY_STARTS):
+            ud.random_walk(ud.parse(code), 30, kinds, seed=i)
+        assert len(checked) >= 50
+
+    def test_survivors_drop_by_broken_pair(self):
+        # the kink lands inside no pair of the slide at (0,11),(0,13),(0,9),
+        # though the slide's MB crossing 1 sits next to the kink's site
+        d = ud.parse("O1- U2+ O2+ U3- O3- U4- O4- U1- U5+ O5+ O6- U6-")
+        mv = ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 1),))
+        new = ud.apply_move(d, mv)
+        carried = _rescan(d, new, mv, ALL_KINDS, _MoveIndex(d, ALL_KINDS).local)
+        assert carried == _MoveIndex(new, ALL_KINDS).local
+        assert ((0, 11), (0, 13), (0, 9)) in [m.sites for m in carried if m.kind == ud.RIII]
+
+
+RI_KINDS_AND_SLIDES = frozenset({ud.RI_ADD, ud.RI_REMOVE, ud.RIII})
+LOCAL = frozenset(LOCAL_KINDS)
+# (start, kinds, seed, steps, digest); the digests were taken before random_walk
+# carried its local descriptors from step to step, and must never change
+WALK_GOLDENS = [
+    (DELTA, ALL_KINDS, 0, 60, "c055919b4058e76c"),
+    (TREFOIL, ALL_KINDS, 1, 60, "4cf8b8b2f8cd1b7f"),
+    (TREFOIL, RI_KINDS_AND_SLIDES, 2, 80, "029ecfd70339d1f1"),
+    (tangle(2), ALL_KINDS, 3, 60, "e322d74a36e777bd"),
+    ("O1+ U2- ; O2- U3+ ; O3+ U1+", ALL_KINDS, 4, 60, "52cb8a507b1fca1c"),
+    ("() ; O1+ U1+", {ud.RII_ADD, ud.RII_REMOVE, ud.RIII}, 5, 60, "0130174e5bcbf0d6"),
+    (F6, LOCAL, 6, 40, "6467715d2f56c5d3"),
+    (planted_code(random.Random(7), 1), ALL_KINDS, 7, 80, "5abfe203faa459a9"),
+    (planted_code(random.Random(8), 2), {ud.RII_ADD, ud.RII_REMOVE, ud.RIII}, 8, 80,
+     "e4813d3ae302651a"),
+    (planted_code(random.Random(9), 3), LOCAL | {ud.RI_ADD}, 9, 80, "84b98c3236bd02df"),
+    (random_knot_code(random.Random(10), 40), ALL_KINDS, 10, 100, "59d08f68bcd943d1"),
+    ("O1- U2- O2- U1-", {ud.RIII, ud.RI_ADD}, 11, 60, "505d797a022070c2"),
+    (KINKS, RI_KINDS_AND_SLIDES, 12, 120, "989d0c9725b8fd16"),
+    (_grown(DELTA, 0), LOCAL, 20, 60, "36b9e58a98c67fe1"),
+    (_grown(TREFOIL, 1), {ud.RII_REMOVE, ud.RIII}, 21, 60, "fddeb26100bb8b84"),
+    (_grown(tangle(2), 2), {ud.RIII}, 22, 60, "b8edf11f6dae1c98"),
+    (_grown("O1+ U2- ; O2- U3+ ; O3+ U1+", 3), LOCAL | {ud.RI_ADD}, 23, 80, "1666bdfae12ad0fc"),
+    (_grown("() ; O1+ U1+", 4, {ud.RII_ADD, ud.RI_ADD}), LOCAL, 24, 60, "a4452383dc243f7d"),
+    (_grown(planted_code(random.Random(5), 2), 5), {ud.RI_REMOVE, ud.RIII}, 25, 60,
+     "f522cea68730ede7"),
+    (_grown(random_knot_code(random.Random(6), 30), 6, steps=30), LOCAL, 26, 60,
+     "16a61bab6a19fc2d"),
+]
+
+
+@pytest.mark.parametrize("code,kinds,seed,steps,digest", WALK_GOLDENS,
+                         ids=[f"seed{case[2]}" for case in WALK_GOLDENS])
+def test_walk_trajectory_golden(code, kinds, seed, steps, digest):
+    h = hashlib.sha256()
+    for mv, d in ud.random_walk(ud.parse(code), steps, kinds, seed):
+        step = "stall" if mv is None else f"{mv.kind}/{mv.variant}@{mv.sites}"
+        h.update(f"{step} {ud.serialize(d)}\n".encode())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_virtual_moves_constant():
