@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .diagram import Diagram, SemiArcId, _semi_arc_offsets, component_shift
+from .diagram import _ID_LIMIT, Diagram, SemiArcId, _semi_arc_offsets, component_shift
 from .errors import UpDownError
 
 
@@ -46,6 +46,17 @@ class Coloring:
 
 
 _COLORING_BUDGET = 10**6
+_COUNT_BUDGET = _ID_LIMIT - 1  # counts stay below 10**4000, like crossing ids, so they print
+
+
+def _power_within(n: int, r: int, budget: int) -> int | None:
+    """n**r if it is at most budget, else None, by a product that stops past budget."""
+    power = 1
+    for _ in range(r):
+        power *= n
+        if power > budget:
+            return None
+    return power
 
 
 def _component_offsets(d: Diagram, spec: ColoringSpec):
@@ -90,23 +101,28 @@ def solve_colorings(d: Diagram, spec: ColoringSpec) -> list[Coloring]:
             return []
         offsets.append(offs)
     r = d.num_components
-    if n ** r > _COLORING_BUDGET:
-        raise ColoringError(f"{n}**{r} colorings exceed the budget of {_COLORING_BUDGET}")
+    if _power_within(n, r, _COLORING_BUDGET) is None:
+        raise ColoringError(f"n**{r} colorings exceed the budget of {_COLORING_BUDGET}")
     return [Coloring(spec, tuple(tuple((base + off) % n for off in offs)
                                  for base, offs in zip(bases, offsets)))
             for bases in itertools.product(range(n), repeat=r)]
 
 
 def count_colorings(d: Diagram, spec: ColoringSpec) -> int:
-    """n**r when every component shift is divisible by n, else 0."""
-    n = spec.modulus
+    """n**r when every component shift is divisible by n, else 0.  A count
+    of 10**4000 or more raises ColoringError."""
+    n, r = spec.modulus, d.num_components
     if any(shift % n for _, shift in _component_offsets(d, spec)):
         return 0
-    return n ** d.num_components
+    count = _power_within(n, r, _COUNT_BUDGET)
+    if count is None:
+        raise ColoringError(f"n**{r} colorings reach the count budget of 10**4000")
+    return count
 
 
 def is_colorable(d: Diagram, spec: ColoringSpec) -> bool:
-    return count_colorings(d, spec) > 0
+    """True when n divides every component shift."""
+    return not any(shift % spec.modulus for _, shift in _component_offsets(d, spec))
 
 
 def maxord(d: Diagram) -> int:

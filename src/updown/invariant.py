@@ -191,8 +191,5 @@ def rii_report(d1: Diagram, d2: Diagram, table: CocycleTable | None = None) -> R
         m1, m2 = phi_multiset(d1, table), phi_multiset(d2, table)
         if m1 != m2:
             candidates.append(RiiBound(1, CERT_PHI, f"{m1}!={m2}"))
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.bound > best.bound:
-            best = cand
-    return best
+    # max keeps the first of equal bounds, so ties go to the earliest candidate
+    return max(candidates, key=lambda c: c.bound)

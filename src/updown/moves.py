@@ -21,12 +21,16 @@ the variant index attached to a row is the number (1..8) of the
 weight-sum identity that the move at such a site realizes, so each index
 covers the two rows that are the two sides of one move.
 
-Legality of the three local kinds (RI-remove, RII-remove, RIII) lives in
-one scan, _local_moves, which reads each adjacent pass pair once.
-enumerate_moves runs it over every position; apply_move runs it over the
-descriptor's first site only; random_walk runs it over every position
-once, then after each move only next to the passes the move touched
-(_rescan), carrying the other sites over.
+The moves fall in two families, each with one table and one applier.  The
+add kinds (RI-add, RII-add) are rows of _ADD_LAYOUTS, which gives the pass
+pair each variant puts on each of its arcs and so the fresh crossing ids it
+takes; _apply_add applies them.  The local kinds (RI-remove, RII-remove,
+RIII) are decided by one scan, _local_moves, which reads each adjacent pass
+pair once and looks triple slides up in _RIII_ROWS; _apply_local applies
+them.  enumerate_moves runs the scan over every position; apply_move over
+the descriptor's first site only; random_walk over every position once,
+then after each move only next to the passes the move touched (_rescan),
+carrying the other sites over.
 """
 
 from __future__ import annotations
@@ -70,8 +74,28 @@ class MoveDescriptor(NamedTuple):
     sites: tuple[tuple[int, int], ...]
 
 
-_RI_VARIANTS = ("OU+", "OU-", "UO+", "UO-")
-_RII_VARIANTS = ("antiparallel+", "antiparallel-", "parallel+", "parallel-")
+# kind -> variant -> for each arc of the move (RI: its one arc; RII: the
+# over-strand arc, then the under-strand arc), the adjacent pass pair put
+# there, each pass as (fresh-id offset, role, sign); offset 0 is max id + 1.
+_ADD_LAYOUTS = {
+    RI_ADD: {
+        "OU+": (((0, OVER, 1), (0, UNDER, 1)),),
+        "OU-": (((0, OVER, -1), (0, UNDER, -1)),),
+        "UO+": (((0, UNDER, 1), (0, OVER, 1)),),
+        "UO-": (((0, UNDER, -1), (0, OVER, -1)),),
+    },
+    RII_ADD: {
+        "antiparallel+": (((0, OVER, 1), (1, OVER, -1)), ((1, UNDER, -1), (0, UNDER, 1))),
+        "antiparallel-": (((0, OVER, -1), (1, OVER, 1)), ((1, UNDER, 1), (0, UNDER, -1))),
+        "parallel+": (((0, OVER, 1), (1, OVER, -1)), ((0, UNDER, 1), (1, UNDER, -1))),
+        "parallel-": (((0, OVER, -1), (1, OVER, 1)), ((0, UNDER, -1), (1, UNDER, 1))),
+    },
+}
+_RI_VARIANTS = tuple(_ADD_LAYOUTS[RI_ADD])
+_RII_VARIANTS = tuple(_ADD_LAYOUTS[RII_ADD])
+# the number of fresh crossing ids each add kind takes, read off its layouts
+_FRESH_IDS = {kind: 1 + max(o for arcs in layouts.values() for pair in arcs for o, _, _ in pair)
+              for kind, layouts in _ADD_LAYOUTS.items()}
 
 # (T first crossing, M first crossing, B first crossing, sign TM, TB, MB)
 # -> weight identity number.  Two rows per number: the move and its inverse.
@@ -188,9 +212,10 @@ class _MoveIndex:
         self.starts = list(accumulate((d.arc_count(k) for k in range(d.num_components)),
                                       initial=0))
         n_arcs = self.starts[-1]
-        room = _ID_LIMIT - 1 - d.max_crossing_id()  # fresh ids: RI-add takes 1, RII-add 2
-        self.ri_add = 4 * n_arcs if RI_ADD in kinds and room >= 1 else 0
-        self.rii_add = 4 * n_arcs * (n_arcs - 1) if RII_ADD in kinds and room >= 2 else 0
+        room = _ID_LIMIT - 1 - d.max_crossing_id()
+        self.ri_add = 4 * n_arcs if RI_ADD in kinds and _FRESH_IDS[RI_ADD] <= room else 0
+        self.rii_add = (4 * n_arcs * (n_arcs - 1)
+                        if RII_ADD in kinds and _FRESH_IDS[RII_ADD] <= room else 0)
         if local is None:
             local = []
             if kinds & _LOCAL_KINDS:
@@ -240,9 +265,9 @@ def _rescan(old: Diagram, new: Diagram, mv: MoveDescriptor, kinds,
     for k, p in mv.sites:
         comp = old.components[k]
         touched.update(comp[i % len(comp)].crossing for i in range(p - 1, p + 3) if comp)
-    if mv.kind in (RI_ADD, RII_ADD):
+    if mv.kind in _FRESH_IDS:
         fresh = old.max_crossing_id() + 1
-        touched.update(range(fresh, fresh + len(mv.sites)))  # one id per site
+        touched.update(range(fresh, fresh + _FRESH_IDS[mv.kind]))
     rescanned: dict[int, set[int]] = {}
     for x in touched & new._signs.keys():
         for k, q in (new._over_at[x], new._under_at[x]):
@@ -281,65 +306,31 @@ def _require(condition: bool, message: str):
 
 def _site(d: Diagram, site: tuple[int, int], arc: bool) -> tuple[int, int]:
     k, p = site
-    _require(0 <= k < d.num_components, f"no component {k}")
-    limit = d.arc_count(k) if arc else len(d.components[k])
-    _require(0 <= p < limit, f"position {p} out of range in component {k}")
+    # every applied move passes here, so messages are built only on failure
+    if not 0 <= k < d.num_components:
+        _require(False, f"no component {k}")
+    if not 0 <= p < (d.arc_count(k) if arc else len(d.components[k])):
+        _require(False, f"position {p} out of range in component {k}")
     return k, p
 
 
-def _fresh_id(d: Diagram, count: int) -> int:
+def _apply_add(d: Diagram, mv: MoveDescriptor) -> Diagram:
+    arcs = _ADD_LAYOUTS[mv.kind].get(mv.variant) if isinstance(mv.variant, str) else None
+    if arcs is None:
+        _require(False, f"bad {mv.kind} variant {mv.variant!r}")
+    _require(len(mv.sites) == len(arcs), "wrong number of sites for this add move")
+    sites = [_site(d, site, arc=True) for site in mv.sites]
+    _require(len(set(sites)) == len(sites), "the sites must be distinct arcs")
     fresh = d.max_crossing_id() + 1
-    _require(fresh + count <= _ID_LIMIT, f"no {count} fresh crossing ids below 10**4000")
-    return fresh
-
-
-def _insert(comp: tuple[Pass, ...], position: int, inserted: tuple[Pass, ...]):
-    # insert on arc p means between pass p and pass p+1; empty components
-    # take the insertion as their whole sequence
-    cut = position + 1 if comp else 0
-    return comp[:cut] + inserted + comp[cut:]
-
-
-def _apply_ri_add(d: Diagram, mv: MoveDescriptor) -> Diagram:
-    _require(mv.variant in _RI_VARIANTS, f"bad RI variant {mv.variant!r}")
-    _require(len(mv.sites) == 1, "RI-add takes one site")
-    k, p = _site(d, mv.sites[0], arc=True)
-    roles, sign = mv.variant[:2], 1 if mv.variant[2] == "+" else -1
-    fresh = _fresh_id(d, 1)
-    pair = tuple(Pass(fresh, role, sign) for role in roles)
+    _require(fresh + _FRESH_IDS[mv.kind] <= _ID_LIMIT, "too few fresh crossing ids below 10**4000")
     comps = list(d.components)
-    comps[k] = _insert(comps[k], p, pair)
-    return Diagram(tuple(comps))
-
-
-def _rii_passes(variant: str, x: int, y: int, sign_x: int):
-    over = (Pass(x, OVER, sign_x), Pass(y, OVER, -sign_x))
-    if variant.startswith("parallel"):
-        under = (Pass(x, UNDER, sign_x), Pass(y, UNDER, -sign_x))
-    else:
-        under = (Pass(y, UNDER, -sign_x), Pass(x, UNDER, sign_x))
-    return over, under
-
-
-def _apply_rii_add(d: Diagram, mv: MoveDescriptor) -> Diagram:
-    _require(mv.variant in _RII_VARIANTS, f"bad RII variant {mv.variant!r}")
-    _require(len(mv.sites) == 2, "RII-add takes two sites")
-    (k1, p1) = _site(d, mv.sites[0], arc=True)
-    (k2, p2) = _site(d, mv.sites[1], arc=True)
-    _require((k1, p1) != (k2, p2), "the two RII-add sites must be distinct arcs")
-    fresh = _fresh_id(d, 2)
-    sign_x = 1 if mv.variant.endswith("+") else -1
-    over, under = _rii_passes(mv.variant, fresh, fresh + 1, sign_x)
-    comps = list(d.components)
-    if k1 == k2:
-        # both positions refer to arcs of the unmodified component, so the
-        # higher one must be spliced first
-        inserts = sorted(((p1, over), (p2, under)), reverse=True)
-        for p, pair in inserts:
-            comps[k1] = _insert(comps[k1], p, pair)
-    else:
-        comps[k1] = _insert(comps[k1], p1, over)
-        comps[k2] = _insert(comps[k2], p2, under)
+    # insert on arc p means between pass p and pass p+1, and an empty
+    # component takes the insertion as its whole sequence; positions refer
+    # to arcs of the unmodified diagram, so the later arc is spliced first
+    for (k, p), ((o1, r1, s1), (o2, r2, s2)) in sorted(zip(sites, arcs), reverse=True):
+        cut = p + 1 if comps[k] else 0
+        pair = (Pass(fresh + o1, r1, s1), Pass(fresh + o2, r2, s2))
+        comps[k] = comps[k][:cut] + pair + comps[k][cut:]
     return Diagram(tuple(comps))
 
 
@@ -358,29 +349,23 @@ def _apply_local(d: Diagram, mv: MoveDescriptor) -> Diagram:
     return Diagram(tuple(tuple(pas for pas in comp if pas is not None) for comp in comps))
 
 
-_APPLIERS = {
-    RI_ADD: _apply_ri_add,
-    RI_REMOVE: _apply_local,
-    RII_ADD: _apply_rii_add,
-    RII_REMOVE: _apply_local,
-    RIII: _apply_local,
-}
-
-
 def apply_move(d: Diagram, mv: MoveDescriptor) -> Diagram:
     """Apply a descriptor, re-validating it against the diagram first.
 
     Descriptors are positional, so applying one to a diagram it was not
-    enumerated from raises MoveError instead of rewriting garbage.  An
-    RI-remove, RII-remove or RIII descriptor is legal exactly when the scan
-    that enumerates moves lists it from the descriptor's first site; no
-    other position is scanned.
+    enumerated from raises MoveError instead of rewriting garbage.  The two
+    move families each have one table and one applier.  An add descriptor
+    is legal when its variant is a row of _ADD_LAYOUTS, its sites are
+    distinct arcs and its fresh ids stay below the bound.  An RI-remove,
+    RII-remove or RIII descriptor is legal exactly when the scan that
+    enumerates moves lists it from the descriptor's first site; no other
+    position is scanned.
     """
-    try:
-        applier = _APPLIERS[mv.kind]
-    except KeyError:
-        raise MoveError(f"unknown move kind {mv.kind!r}") from None
-    return applier(d, mv)
+    if mv.kind in _ADD_LAYOUTS:
+        return _apply_add(d, mv)
+    if mv.kind in _LOCAL_KINDS:
+        return _apply_local(d, mv)
+    raise MoveError(f"unknown move kind {mv.kind!r}")
 
 
 def random_walk(d: Diagram, steps: int, kinds, seed: int

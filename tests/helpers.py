@@ -5,10 +5,11 @@ solver, position bookkeeping, closed-form cocycle search and move scan:
 colorings are found by filtering every possible color assignment, weight
 sums walk the pass sequences directly, shiftable cocycles are found by
 filtering every difference table through the nine conditions, condition
-violations by evaluating every identity at every point, and local move
-sites by trying every pair or triple of adjacent pass pairs.  They
-are only usable on small inputs, which is what the frozen expected values
-are derived from.
+violations by evaluating every identity at every point, local move
+sites by trying every pair or triple of adjacent pass pairs, and add moves
+by placing the inserted passes while walking the unmodified components.
+They are only usable on small inputs, which is what the frozen expected
+values are derived from.
 """
 
 from __future__ import annotations
@@ -276,6 +277,40 @@ def brute_local_moves(d: ud.Diagram, kind: str) -> list[ud.MoveDescriptor]:
     else:
         raise ValueError(f"not a local move kind: {kind!r}")
     return sorted(found, key=lambda mv: (mv.kind, mv.sites, str(mv.variant)))
+
+
+def brute_add(d: ud.Diagram, mv: ud.MoveDescriptor) -> ud.Diagram:
+    """The RI-add or RII-add rewrite of d, read off the definitions in the
+    moves module docstring.
+
+    Fresh crossings are numbered from one past the largest id, and a site
+    (k, p) is the arc after pass p of component k.  A kink "OU+" puts an
+    over then an under pass of one positive crossing on its arc.  A poke
+    "parallel+" or "antiparallel+" puts the over passes of a positive then a
+    negative crossing on its first arc; the second arc meets the under
+    passes in the same order (parallel) or the reverse one (antiparallel).
+    Every insertion is placed while walking the unmodified components.
+    """
+    x = max(d.crossing_ids(), default=0) + 1
+    sign = 1 if mv.variant.endswith("+") else -1
+    if mv.kind == ud.RI_ADD:
+        layouts = [[ud.Pass(x, role, sign) for role in mv.variant[:2]]]
+    else:
+        y = x + 1
+        over = [ud.Pass(x, ud.OVER, sign), ud.Pass(y, ud.OVER, -sign)]
+        under = [ud.Pass(x, ud.UNDER, sign), ud.Pass(y, ud.UNDER, -sign)]
+        if mv.variant.startswith("antiparallel"):
+            under.reverse()
+        layouts = [over, under]
+    after = dict(zip(mv.sites, layouts))
+    comps = []
+    for k, comp in enumerate(d.components):
+        # an empty component is the one arc (k, 0)
+        walked = [] if comp else list(after.get((k, 0), []))
+        for p, pas in enumerate(comp):
+            walked += [pas] + after.get((k, p), [])
+        comps.append(tuple(walked))
+    return ud.Diagram(tuple(comps))
 
 
 def fast_phi(d: ud.Diagram, table: ud.CocycleTable) -> tuple[int, ...]:

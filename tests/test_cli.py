@@ -198,11 +198,12 @@ class TestInputsAndErrors:
         loops = " ; ".join(["()"] * 20)
         for argv in (("phi-multiset", loops, "--cocycle", "example-f", "--unchecked-links"),
                      ("count", loops, "--n", "4", "--dump-colorings"),
-                     ("cocycle-check", "zero(100000,2)")):
+                     ("cocycle-check", "zero(100000,2)"),
+                     ("count", " ; ".join(["()"] * 800), "--n", "1000000")):
             code, out, err = run(capsys, *argv)
             assert code == 1
             assert out == ""
-            assert "budget" in err
+            assert err.startswith("error:") and "budget" in err
 
     def test_oversized_integers_exit_one(self, capsys, tmp_path):
         nines = "9" * 5000

@@ -115,6 +115,24 @@ class TestSolveAndCount:
         with pytest.raises(ud.ColoringError, match="budget"):
             ud.solve_colorings(d, spec)
 
+    def test_count_budget_boundary(self):
+        # counts stay below 10**4000 and are exact up to it
+        spec = ud.ColoringSpec(10)
+        assert ud.count_colorings(ud.Diagram(((),) * 3999), spec) == 10**3999
+        with pytest.raises(ud.ColoringError, match="budget"):
+            ud.count_colorings(ud.Diagram(((),) * 4000), spec)
+
+    @pytest.mark.parametrize("digits", [300, 5000])
+    def test_budgets_never_build_the_power(self, digits):
+        # (10**300)**20000 has six million digits; neither budget builds it,
+        # no message prints n, and colorability is read off the shifts alone
+        d = ud.parse(" ; ".join(["()"] * 20000))
+        spec = ud.ColoringSpec(10**digits)
+        assert ud.is_colorable(d, spec)
+        for budgeted in (ud.count_colorings, ud.solve_colorings):
+            with pytest.raises(ud.ColoringError, match="budget"):
+                budgeted(d, spec)
+
     def test_modulus_one_always_colors(self):
         for code in [UNKNOT_ISH := "()", tangle(3), VIRTUAL_TWO]:
             d = ud.parse(code)

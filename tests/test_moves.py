@@ -24,6 +24,7 @@ from helpers import (
     KINK,
     KNOT_CODES,
     TREFOIL,
+    brute_add,
     brute_local_moves,
     planted_code,
     random_knot_code,
@@ -171,6 +172,24 @@ class TestPokeMoves:
             before = ud.maxord(d)
             for mv in ud.enumerate_moves(d, {ud.RII_ADD, ud.RII_REMOVE}):
                 assert abs(ud.maxord(ud.apply_move(d, mv)) - before) in (0, 2)
+
+
+class TestAddOracle:
+    """Both add kinds against brute_add, which places the inserted passes
+    while walking the unmodified diagram."""
+
+    @pytest.mark.parametrize("code", ["()", "() ; ()", "O1+ U1+ ; ()", DELTA, tangle(1)])
+    def test_every_variant_arc_and_arc_pair(self, code):
+        d = ud.parse(code)
+        arcs = [(k, p) for k in range(d.num_components) for p in range(d.arc_count(k))]
+        adds = [ud.MoveDescriptor(ud.RI_ADD, variant, (arc,))
+                for variant in ("OU+", "OU-", "UO+", "UO-") for arc in arcs]
+        # ordered pairs, so same-component pairs come in both orders
+        adds += [ud.MoveDescriptor(ud.RII_ADD, variant, pair)
+                 for variant in ("parallel+", "parallel-", "antiparallel+", "antiparallel-")
+                 for pair in itertools.permutations(arcs, 2)]
+        for mv in adds:
+            assert ud.apply_move(d, mv) == brute_add(d, mv), mv
 
 
 class TestTripleSlide:
