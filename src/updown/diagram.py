@@ -61,13 +61,36 @@ class SemiArcId:
     position: int
 
 
+def _index(maps, comp, k: int, start: int, checked: bool):
+    """Map comp's passes, from start on, into maps; checked also validates and records signs."""
+    over_at, under_at, signs = maps
+    for p, pas in enumerate(comp[start:], start):
+        x, role = pas.crossing, pas.role
+        at = over_at if role == OVER else under_at
+        if checked:
+            if not 0 < x < _ID_LIMIT:
+                raise ValidationError("crossing ids must be >= 1 and below 10**4000")
+            if pas.sign not in (1, -1):
+                raise ValidationError(f"crossing {x}: sign must be +1 or -1")
+            if at is under_at and role != UNDER:
+                raise ValidationError(f"crossing {x}: unknown role {role!r}")
+            if x in at:
+                side = "over" if role == OVER else "under"
+                raise ValidationError(f"crossing {x} has two {side} passes")
+            if signs.setdefault(x, pas.sign) != pas.sign:
+                raise ValidationError(f"crossing {x} has mismatched signs")
+        at[x] = (k, p)
+
+
 @dataclass(frozen=True)
 class Diagram:
-    """An ordered sequence of components, validated on construction.
+    """An ordered sequence of components.
 
     Every crossing id must occur exactly twice, once over and once under,
-    with the same sign on both passes.  Instances are immutable and safe to
-    share; all operations on them are pure functions.
+    with the same sign on both passes.  The constructor validates this; a
+    move result is valid by construction and takes its maps from its
+    parent's (_rewritten).  Instances are immutable and safe to share; all
+    operations on them are pure functions.
     """
 
     components: tuple[tuple[Pass, ...], ...]
@@ -75,36 +98,31 @@ class Diagram:
     def __post_init__(self):
         if not self.components:
             raise ValidationError("a diagram needs at least one component")
-        over_at: dict[int, tuple[int, int]] = {}
-        under_at: dict[int, tuple[int, int]] = {}
-        signs: dict[int, int] = {}
+        over_at, under_at, signs = maps = ({}, {}, {})
         for k, comp in enumerate(self.components):
-            for p, pas in enumerate(comp):
-                if not 0 < pas.crossing < _ID_LIMIT:
-                    raise ValidationError("crossing ids must be >= 1 and below 10**4000")
-                if pas.sign not in (1, -1):
-                    raise ValidationError(f"crossing {pas.crossing}: sign must be +1 or -1")
-                if pas.role == OVER:
-                    if pas.crossing in over_at:
-                        raise ValidationError(f"crossing {pas.crossing} has two over passes")
-                    over_at[pas.crossing] = (k, p)
-                elif pas.role == UNDER:
-                    if pas.crossing in under_at:
-                        raise ValidationError(f"crossing {pas.crossing} has two under passes")
-                    under_at[pas.crossing] = (k, p)
-                else:
-                    raise ValidationError(f"crossing {pas.crossing}: unknown role {pas.role!r}")
-                prev = signs.setdefault(pas.crossing, pas.sign)
-                if prev != pas.sign:
-                    raise ValidationError(f"crossing {pas.crossing} has mismatched signs")
+            _index(maps, comp, k, 0, checked=True)
         for x in signs:
             if x not in over_at:
                 raise ValidationError(f"crossing {x} has no over pass")
             if x not in under_at:
                 raise ValidationError(f"crossing {x} has no under pass")
-        object.__setattr__(self, "_over_at", over_at)
-        object.__setattr__(self, "_under_at", under_at)
-        object.__setattr__(self, "_signs", signs)
+        vars(self).update(_over_at=over_at, _under_at=under_at, _signs=signs)
+
+    def _rewritten(self, components, removed, added, starts) -> Diagram:
+        """A rewrite's result, unvalidated: this diagram's maps less the crossings
+        removed, plus the signs added, with component k re-indexed from position
+        starts[k] on; starts must reach every new or moved pass."""
+        maps = self._over_at.copy(), self._under_at.copy(), self._signs.copy()
+        over_at, under_at, signs = maps
+        for x in removed:
+            del over_at[x], under_at[x], signs[x]
+        signs.update(added)
+        for k, start in starts.items():
+            _index(maps, components[k], k, start, checked=False)
+        new = object.__new__(Diagram)
+        vars(new).update(components=components, _over_at=over_at, _under_at=under_at,
+                         _signs=signs)
+        return new
 
     # -- basic queries ----------------------------------------------------
 

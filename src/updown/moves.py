@@ -30,7 +30,9 @@ pair once and looks triple slides up in _RIII_ROWS; _apply_local applies
 them.  enumerate_moves runs the scan over every position; apply_move over
 the descriptor's first site only; random_walk over every position once,
 then after each move only next to the passes the move touched (_rescan),
-carrying the other sites over.
+carrying the other sites over.  A result is not re-validated:
+Diagram._rewritten copies its parent's maps and re-indexes each changed
+component from the first position the move changed.
 """
 
 from __future__ import annotations
@@ -283,9 +285,11 @@ def _rescan(old: Diagram, new: Diagram, mv: MoveDescriptor, kinds,
                 break
             sites.append(at)
         else:
+            sites = tuple(sites)
             k, p = sites[0]
             if p not in rescanned.get(k, ()):
-                out.append(MoveDescriptor(cached.kind, cached.variant, tuple(sites)))
+                out.append(cached if sites == cached.sites
+                           else MoveDescriptor(cached.kind, cached.variant, sites))
     for k, positions in rescanned.items():
         out += _local_moves(new, kinds, k, positions)
     out.sort(key=_descriptor_key)
@@ -299,67 +303,70 @@ def enumerate_moves(d: Diagram, kinds) -> list[MoveDescriptor]:
     return [index.descriptor(i) for i in range(index.total)]
 
 
-def _require(condition: bool, message: str):
+def _require(condition: bool, message: str, *args):
+    # every applied move passes here, so message % args is built only on failure
     if not condition:
-        raise MoveError(f"stale or invalid move descriptor: {message}")
+        raise MoveError(f"stale or invalid move descriptor: {message % args}")
 
 
 def _site(d: Diagram, site: tuple[int, int], arc: bool) -> tuple[int, int]:
     k, p = site
-    # every applied move passes here, so messages are built only on failure
-    if not 0 <= k < d.num_components:
-        _require(False, f"no component {k}")
-    if not 0 <= p < (d.arc_count(k) if arc else len(d.components[k])):
-        _require(False, f"position {p} out of range in component {k}")
+    _require(0 <= k < d.num_components, "no component %s", k)
+    _require(0 <= p < (d.arc_count(k) if arc else len(d.components[k])),
+             "position %s out of range in component %s", p, k)
     return k, p
 
 
 def _apply_add(d: Diagram, mv: MoveDescriptor) -> Diagram:
     arcs = _ADD_LAYOUTS[mv.kind].get(mv.variant) if isinstance(mv.variant, str) else None
-    if arcs is None:
-        _require(False, f"bad {mv.kind} variant {mv.variant!r}")
+    _require(arcs is not None, "bad %s variant %r", mv.kind, mv.variant)
     _require(len(mv.sites) == len(arcs), "wrong number of sites for this add move")
     sites = [_site(d, site, arc=True) for site in mv.sites]
     _require(len(set(sites)) == len(sites), "the sites must be distinct arcs")
     fresh = d.max_crossing_id() + 1
     _require(fresh + _FRESH_IDS[mv.kind] <= _ID_LIMIT, "too few fresh crossing ids below 10**4000")
-    comps = list(d.components)
+    comps, first = list(d.components), {}
     # insert on arc p means between pass p and pass p+1, and an empty
     # component takes the insertion as its whole sequence; positions refer
     # to arcs of the unmodified diagram, so the later arc is spliced first
     for (k, p), ((o1, r1, s1), (o2, r2, s2)) in sorted(zip(sites, arcs), reverse=True):
-        cut = p + 1 if comps[k] else 0
+        cut = first[k] = p + 1 if comps[k] else 0
         pair = (Pass(fresh + o1, r1, s1), Pass(fresh + o2, r2, s2))
         comps[k] = comps[k][:cut] + pair + comps[k][cut:]
-    return Diagram(tuple(comps))
+    added = {fresh + o: sign for pair in arcs for o, _, sign in pair}
+    return d._rewritten(tuple(comps), (), added, first)
 
 
 def _apply_local(d: Diagram, mv: MoveDescriptor) -> Diagram:
-    _require(bool(mv.sites), f"{mv.kind} has no sites")
+    _require(bool(mv.sites), "%s has no sites", mv.kind)
     k, p = _site(d, mv.sites[0], arc=False)
     _require(mv in _local_moves(d, {mv.kind}, k, (p,)),
-             f"sites do not hold this {mv.kind} configuration")
+             "sites do not hold this %s configuration", mv.kind)
     comps = [list(comp) for comp in d.components]
+    removed, first = set(), {}
     for k, p in mv.sites:
         q = (p + 1) % len(comps[k])
+        first[k] = min(first.get(k, p), p if q else 0)  # a pair wrapping to 0 moves all
         if mv.kind == RIII:
             comps[k][p], comps[k][q] = comps[k][q], comps[k][p]
         else:
+            removed.update((comps[k][p].crossing, comps[k][q].crossing))
             comps[k][p] = comps[k][q] = None
-    return Diagram(tuple(tuple(pas for pas in comp if pas is not None) for comp in comps))
+    comps = tuple(tuple(pas for pas in comp if pas is not None) for comp in comps)
+    return d._rewritten(comps, removed, {}, first)
 
 
 def apply_move(d: Diagram, mv: MoveDescriptor) -> Diagram:
     """Apply a descriptor, re-validating it against the diagram first.
 
     Descriptors are positional, so applying one to a diagram it was not
-    enumerated from raises MoveError instead of rewriting garbage.  The two
-    move families each have one table and one applier.  An add descriptor
-    is legal when its variant is a row of _ADD_LAYOUTS, its sites are
-    distinct arcs and its fresh ids stay below the bound.  An RI-remove,
+    enumerated from raises MoveError instead of rewriting garbage.  An add
+    descriptor is legal when its variant is a row of _ADD_LAYOUTS, its sites
+    are distinct arcs and its fresh ids stay below the bound.  An RI-remove,
     RII-remove or RIII descriptor is legal exactly when the scan that
     enumerates moves lists it from the descriptor's first site; no other
-    position is scanned.
+    position is scanned.  A legal move keeps one over and one under pass of
+    one sign per crossing, so the result skips Diagram's validation.
     """
     if mv.kind in _ADD_LAYOUTS:
         return _apply_add(d, mv)

@@ -1,5 +1,7 @@
 """Gauss-code parsing, validation and the structural diagram operations."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,21 @@ class TestParse:
     def test_validation_errors(self, text):
         with pytest.raises(ud.ValidationError):
             ud.parse(text)
+
+    @pytest.mark.parametrize("passes,message", [
+        (((1, ud.OVER, 1), (1, ud.OVER, 1), (1, ud.UNDER, 1)), "crossing 1 has two over passes"),
+        (((1, ud.OVER, 1), (1, ud.UNDER, 1), (1, ud.UNDER, 1)), "crossing 1 has two under passes"),
+        (((1, ud.OVER, 1), (1, ud.UNDER, -1)), "crossing 1 has mismatched signs"),
+        (((1, ud.OVER, 1), (1, "X", 1)), "crossing 1: unknown role 'X'"),
+        (((1, ud.OVER, 2), (1, ud.UNDER, 2)), "crossing 1: sign must be"),
+        (((0, ud.OVER, 1), (0, ud.UNDER, 1)), "crossing ids must be >= 1"),
+        (((2, ud.OVER, 1), (1, ud.OVER, 1), (1, ud.UNDER, 1)), "crossing 2 has no under pass"),
+        (((2, ud.UNDER, 1), (1, ud.OVER, 1), (1, ud.UNDER, 1)), "crossing 2 has no over pass"),
+    ])
+    def test_constructor_validates(self, passes, message):
+        # move results skip validation; the public constructor never does
+        with pytest.raises(ud.ValidationError, match=re.escape(message)):
+            ud.Diagram((tuple(ud.Pass(*pas) for pas in passes),))
 
     def test_oversized_crossing_id(self):
         # more digits than int() converts is still a grammar error

@@ -50,13 +50,23 @@ def realize_riii_row(row):
     return ud.Diagram((tuple(top + mid + low),))
 
 
+def assert_indexed(out):
+    """A move result's maps, derived from its parent's, equal the ones the
+    validating constructor builds from its components."""
+    full = ud.Diagram(out.components)
+    assert ((out._over_at, out._under_at, out._signs)
+            == (full._over_at, full._under_at, full._signs)), ud.serialize(out)
+
+
 def assert_matches_oracle(d):
     removed = {ud.RI_REMOVE: 1, ud.RII_REMOVE: 2, ud.RIII: 0}
     for kind in LOCAL_KINDS:
         moves = ud.enumerate_moves(d, {kind})
         assert moves == brute_local_moves(d, kind), (ud.serialize(d), kind)
         for mv in moves:
-            assert ud.apply_move(d, mv).num_crossings == d.num_crossings - removed[kind]
+            out = ud.apply_move(d, mv)
+            assert out.num_crossings == d.num_crossings - removed[kind]
+            assert_indexed(out)
 
 
 class TestEnumerateBasics:
@@ -311,6 +321,7 @@ class TestApplyFuzz:
             out = None
         else:
             assert ud.parse(ud.serialize(out)) == out
+            assert_indexed(out)
         if mv.kind in LOCAL_KINDS:
             assert (out is not None) == (mv in ud.enumerate_moves(d, {mv.kind}))
 
@@ -399,6 +410,73 @@ class TestCarriedIndex:
         carried = _rescan(d, new, mv, ALL_KINDS, _MoveIndex(d, ALL_KINDS).local)
         assert carried == _MoveIndex(new, ALL_KINDS).local
         assert ((0, 11), (0, 13), (0, 9)) in [m.sites for m in carried if m.kind == ud.RIII]
+
+
+class TestResultMaps:
+    """apply_move does not validate its result: it derives the result's maps
+    from the parent's.  They must equal what Diagram(components) builds."""
+
+    def test_every_descriptor(self):
+        # the walk-grown fixtures list about 10**5 RII-adds each; of those,
+        # the ones with a site on arc (0, 0), in either order, are applied
+        for code in CARRY_STARTS:
+            d = ud.parse(code)
+            listed = ud.enumerate_moves(d, ALL_KINDS)
+            for mv in listed:
+                if len(listed) < 10**4 or mv.kind != ud.RII_ADD or (0, 0) in mv.sites:
+                    assert_indexed(ud.apply_move(d, mv))
+
+    @pytest.mark.parametrize("kinds", [ALL_KINDS, frozenset(LOCAL_KINDS) | {ud.RI_ADD}],
+                             ids=["all", "local,RI-add"])
+    def test_every_walk_step(self, kinds):
+        for i, code in enumerate(CARRY_STARTS):
+            for mv, d in ud.random_walk(ud.parse(code), 30, kinds, seed=i):
+                assert_indexed(d)
+
+    @pytest.mark.parametrize("code,mv,after", [
+        ("U1+ O2+ U2+ O1+", ud.MoveDescriptor(ud.RI_REMOVE, "OU+", ((0, 3),)), "O2+ U2+"),
+        ("O2- O3+ U3+ U1+ U2- O1+",
+         ud.MoveDescriptor(ud.RII_REMOVE, "parallel+", ((0, 5), (0, 3))), "O3+ U3+"),
+        ("O2+ O1- U1- ; U3+ U2+ O3+",
+         ud.MoveDescriptor(ud.RI_REMOVE, "OU+", ((1, 2),)), "O2+ O1- U1- ; U2+"),
+    ])
+    def test_removal_round_the_end(self, code, mv, after):
+        # a pair from the last position round to 0 moves every other pass
+        d = ud.parse(code)
+        assert mv in ud.enumerate_moves(d, {mv.kind})
+        out = ud.apply_move(d, mv)
+        assert ud.serialize(out) == after
+        assert_indexed(out)
+
+    def test_add_layouts_pair_each_fresh_id(self):
+        # an add result is valid by construction: each fresh id gets one over
+        # and one under pass, of one sign
+        for kind, layouts in moves._ADD_LAYOUTS.items():
+            for variant, arcs in layouts.items():
+                passes = [pas for pair in arcs for pas in pair]
+                assert len(passes) == 2 * moves._FRESH_IDS[kind]
+                for offset in range(moves._FRESH_IDS[kind]):
+                    mine = sorted((role, sign) for o, role, sign in passes if o == offset)
+                    assert [role for role, _ in mine] == [ud.OVER, ud.UNDER], (kind, variant)
+                    assert mine[0][1] == mine[1][1], (kind, variant)
+
+    def test_only_constructed_diagrams_are_validated(self, monkeypatch):
+        validated, check = [], ud.Diagram.__post_init__
+
+        def counted(self):
+            validated.append(self)
+            check(self)
+
+        monkeypatch.setattr(ud.Diagram, "__post_init__", counted)
+        d = ud.parse(TREFOIL)
+        assert validated == [d]
+        walk = ud.random_walk(d, 30, ALL_KINDS, seed=3)
+        for mv in ud.enumerate_moves(d, ALL_KINDS):
+            ud.apply_move(d, mv)
+        assert validated == [d]
+        last = walk[-1][1]
+        assert ud.Diagram(last.components) == last
+        assert len(validated) == 2
 
 
 RI_KINDS_AND_SLIDES = frozenset({ud.RI_ADD, ud.RI_REMOVE, ud.RIII})
