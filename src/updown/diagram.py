@@ -61,10 +61,10 @@ class SemiArcId:
     position: int
 
 
-def _index(maps, comp, k: int, start: int, checked: bool):
-    """Map comp's passes, from start on, into maps; checked also validates and records signs."""
-    over_at, under_at, signs = maps
-    for p, pas in enumerate(comp[start:], start):
+def _index(maps, components, k: int, start: int, checked: bool):
+    """Map component k's passes, from start on, into maps; checked also validates them."""
+    over_at, under_at = maps
+    for p, pas in enumerate(components[k][start:], start):
         x, role = pas.crossing, pas.role
         at = over_at if role == OVER else under_at
         if checked:
@@ -77,7 +77,8 @@ def _index(maps, comp, k: int, start: int, checked: bool):
             if x in at:
                 side = "over" if role == OVER else "under"
                 raise ValidationError(f"crossing {x} has two {side} passes")
-            if signs.setdefault(x, pas.sign) != pas.sign:
+            partner = (under_at if at is over_at else over_at).get(x)
+            if partner and components[partner[0]][partner[1]].sign != pas.sign:
                 raise ValidationError(f"crossing {x} has mismatched signs")
         at[x] = (k, p)
 
@@ -87,10 +88,11 @@ class Diagram:
     """An ordered sequence of components.
 
     Every crossing id must occur exactly twice, once over and once under,
-    with the same sign on both passes.  The constructor validates this; a
-    move result is valid by construction and takes its maps from its
-    parent's (_rewritten).  Instances are immutable and safe to share; all
-    operations on them are pure functions.
+    with the same sign on both passes, which is read from the over pass.
+    The constructor validates this and maps each crossing to its two pass
+    positions; a move result is valid by construction and copies its
+    parent's two maps (_rewritten).  Instances are immutable and safe to
+    share; all operations on them are pure functions.
     """
 
     components: tuple[tuple[Pass, ...], ...]
@@ -98,30 +100,27 @@ class Diagram:
     def __post_init__(self):
         if not self.components:
             raise ValidationError("a diagram needs at least one component")
-        over_at, under_at, signs = maps = ({}, {}, {})
-        for k, comp in enumerate(self.components):
-            _index(maps, comp, k, 0, checked=True)
-        for x in signs:
-            if x not in over_at:
-                raise ValidationError(f"crossing {x} has no over pass")
-            if x not in under_at:
-                raise ValidationError(f"crossing {x} has no under pass")
-        vars(self).update(_over_at=over_at, _under_at=under_at, _signs=signs)
+        over_at, under_at = maps = {}, {}
+        for k in range(len(self.components)):
+            _index(maps, self.components, k, 0, checked=True)
+        if over_at.keys() != under_at.keys():
+            x = next(pas.crossing for comp in self.components for pas in comp
+                     if pas.crossing not in over_at or pas.crossing not in under_at)
+            side = "under" if x in over_at else "over"
+            raise ValidationError(f"crossing {x} has no {side} pass")
+        vars(self).update(_over_at=over_at, _under_at=under_at)
 
-    def _rewritten(self, components, removed, added, starts) -> Diagram:
-        """A rewrite's result, unvalidated: this diagram's maps less the crossings
-        removed, plus the signs added, with component k re-indexed from position
-        starts[k] on; starts must reach every new or moved pass."""
-        maps = self._over_at.copy(), self._under_at.copy(), self._signs.copy()
-        over_at, under_at, signs = maps
+    def _rewritten(self, components, removed, starts) -> Diagram:
+        """A rewrite's result, unvalidated: this diagram's two maps less the crossings
+        removed, with component k re-indexed from position starts[k] on; starts
+        must reach every new or moved pass."""
+        maps = over_at, under_at = self._over_at.copy(), self._under_at.copy()
         for x in removed:
-            del over_at[x], under_at[x], signs[x]
-        signs.update(added)
+            del over_at[x], under_at[x]
         for k, start in starts.items():
-            _index(maps, components[k], k, start, checked=False)
+            _index(maps, components, k, start, checked=False)
         new = object.__new__(Diagram)
-        vars(new).update(components=components, _over_at=over_at, _under_at=under_at,
-                         _signs=signs)
+        vars(new).update(components=components, _over_at=over_at, _under_at=under_at)
         return new
 
     # -- basic queries ----------------------------------------------------
@@ -132,27 +131,27 @@ class Diagram:
 
     @property
     def num_crossings(self) -> int:
-        return len(self._signs)
+        return len(self._over_at)
 
     def arc_count(self, component: int) -> int:
         return max(1, len(self.components[component]))
 
     def crossing_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._signs))
+        return tuple(sorted(self._over_at))
 
     def crossing_sign(self, crossing: int) -> int:
-        try:
-            return self._signs[crossing]
-        except KeyError:
-            raise ValidationError(f"no crossing {crossing} in this diagram") from None
+        k, p = self.over_position(crossing)
+        return self.components[k][p].sign
 
     def over_position(self, crossing: int) -> tuple[int, int]:
         """(component, position) of the over pass of a crossing."""
-        self.crossing_sign(crossing)
-        return self._over_at[crossing]
+        try:
+            return self._over_at[crossing]
+        except KeyError:
+            raise ValidationError(f"no crossing {crossing} in this diagram") from None
 
     def under_position(self, crossing: int) -> tuple[int, int]:
-        self.crossing_sign(crossing)
+        self.over_position(crossing)
         return self._under_at[crossing]
 
     def is_self_crossing(self, crossing: int) -> bool:
@@ -160,10 +159,12 @@ class Diagram:
         return self.over_position(crossing)[0] == self.under_position(crossing)[0]
 
     def nonself_crossing_count(self) -> int:
-        return sum(1 for x in self._signs if not self.is_self_crossing(x))
+        return sum(self._under_at[x][0] != k for x, (k, _) in self._over_at.items())
 
     def max_crossing_id(self) -> int:
-        return max(self._signs, default=0)
+        if "_max_id" not in vars(self):  # computed once per diagram, on first use
+            vars(self)["_max_id"] = max(self._over_at, default=0)
+        return self._max_id
 
 
 def parse(text: str) -> Diagram:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cocycle import CocycleTable, check_shiftable_system, cocycle_violation
-from .coloring import Coloring, ColoringSpec, maxord, solve_colorings
+from .coloring import Coloring, ColoringSpec, _require_total, maxord, solve_colorings
 from .diagram import Diagram, _semi_arc_offsets
 from .errors import UpDownError
 
@@ -57,7 +57,7 @@ def _weight_site(d: Diagram, crossing: int) -> tuple[int, int, int, int, int]:
     """(under comp, under arc, over comp, over arc, sign) that crossing_weight reads."""
     ko, po = d.over_position(crossing)
     ku, pu = d.under_position(crossing)
-    if d.crossing_sign(crossing) > 0:
+    if d.components[ko][po].sign > 0:
         return ku, (pu - 1) % len(d.components[ku]), ko, po, 1
     return ku, pu, ko, (po - 1) % len(d.components[ko]), -1
 
@@ -68,24 +68,25 @@ def _site_total(sites, colors, table: CocycleTable) -> int:
                for ku, au, ko, ao, sign in sites) % table.m
 
 
-def _require_modulus(c: Coloring, table: CocycleTable):
+def _require_coloring(d: Diagram, c: Coloring, table: CocycleTable):
     if c.spec.modulus != table.n:
         raise InvariantError(
             f"coloring modulus {c.spec.modulus} does not match table modulus {table.n}")
+    _require_total(d, c)
 
 
 def crossing_weight(d: Diagram, c: Coloring, crossing: int, table: CocycleTable) -> int:
     """Table entry of one crossing: positive crossings read the incoming
     under color and outgoing over color, negative ones the outgoing under
     color and incoming over color."""
-    _require_modulus(c, table)
+    _require_coloring(d, c, table)
     ku, au, ko, ao, sign = _weight_site(d, crossing)
     return table.value(c.colors[ku][au], c.colors[ko][ao], sign)
 
 
 def weight_sum(d: Diagram, c: Coloring, table: CocycleTable) -> int:
     """Sum of all crossing weights mod m; 0 for crossing-free diagrams."""
-    _require_modulus(c, table)
+    _require_coloring(d, c, table)
     return _site_total([_weight_site(d, x) for x in d.crossing_ids()], c.colors, table)
 
 

@@ -31,7 +31,7 @@ them.  enumerate_moves runs the scan over every position; apply_move over
 the descriptor's first site only; random_walk over every position once,
 then after each move only next to the passes the move touched (_rescan),
 carrying the other sites over.  A result is not re-validated:
-Diagram._rewritten copies its parent's maps and re-indexes each changed
+Diagram._rewritten copies its parent's two maps and re-indexes each changed
 component from the first position the move changed.
 """
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate
+from operator import attrgetter
 from typing import NamedTuple
 
 from .diagram import _ID_LIMIT, OVER, UNDER, Diagram, Pass
@@ -52,6 +53,7 @@ RII_REMOVE = "RII-remove"
 RIII = "RIII"
 MOVE_KINDS = frozenset({RI_ADD, RI_REMOVE, RII_ADD, RII_REMOVE, RIII})
 _LOCAL_KINDS = frozenset({RI_REMOVE, RII_REMOVE, RIII})
+_descriptor_key = attrgetter("kind", "sites", "variant")  # sort key of descriptor lists
 
 # Identity moves on this representation; listed for documentation only.
 VIRTUAL_MOVES = ("VRI", "VRII", "VRIII", "VRIV")
@@ -123,10 +125,6 @@ _RIII_ROWS = {
 
 def _sign_char(sign: int) -> str:
     return "+" if sign > 0 else "-"
-
-
-def _descriptor_key(mv: MoveDescriptor):
-    return (mv.kind, mv.sites, str(mv.variant))
 
 
 def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
@@ -271,7 +269,7 @@ def _rescan(old: Diagram, new: Diagram, mv: MoveDescriptor, kinds,
         fresh = old.max_crossing_id() + 1
         touched.update(range(fresh, fresh + _FRESH_IDS[mv.kind]))
     rescanned: dict[int, set[int]] = {}
-    for x in touched & new._signs.keys():
+    for x in touched & new._over_at.keys():
         for k, q in (new._over_at[x], new._under_at[x]):
             rescanned.setdefault(k, set()).update(((q - 1) % len(new.components[k]), q))
     out = []
@@ -333,8 +331,7 @@ def _apply_add(d: Diagram, mv: MoveDescriptor) -> Diagram:
         cut = first[k] = p + 1 if comps[k] else 0
         pair = (Pass(fresh + o1, r1, s1), Pass(fresh + o2, r2, s2))
         comps[k] = comps[k][:cut] + pair + comps[k][cut:]
-    added = {fresh + o: sign for pair in arcs for o, _, sign in pair}
-    return d._rewritten(tuple(comps), (), added, first)
+    return d._rewritten(tuple(comps), (), first)
 
 
 def _apply_local(d: Diagram, mv: MoveDescriptor) -> Diagram:
@@ -353,7 +350,7 @@ def _apply_local(d: Diagram, mv: MoveDescriptor) -> Diagram:
             removed.update((comps[k][p].crossing, comps[k][q].crossing))
             comps[k][p] = comps[k][q] = None
     comps = tuple(tuple(pas for pas in comp if pas is not None) for comp in comps)
-    return d._rewritten(comps, removed, {}, first)
+    return d._rewritten(comps, removed, first)
 
 
 def apply_move(d: Diagram, mv: MoveDescriptor) -> Diagram:

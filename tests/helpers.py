@@ -6,8 +6,9 @@ colorings are found by filtering every possible color assignment, weight
 sums walk the pass sequences directly, shiftable cocycles are found by
 filtering every difference table through the nine conditions, condition
 violations by evaluating every identity at every point, local move
-sites by trying every pair or triple of adjacent pass pairs, and add moves
-by placing the inserted passes while walking the unmodified components.
+sites by trying every pair or triple of adjacent pass pairs, add moves
+by placing the inserted passes while walking the unmodified components,
+and the first validation error by checking the diagram rules in order.
 They are only usable on small inputs, which is what the frozen expected
 values are derived from.
 """
@@ -311,6 +312,43 @@ def brute_add(d: ud.Diagram, mv: ud.MoveDescriptor) -> ud.Diagram:
             walked += [pas] + after.get((k, p), [])
         comps.append(tuple(walked))
     return ud.Diagram(tuple(comps))
+
+
+def reference_validation_error(components) -> str | None:
+    """The message of the first ValidationError that Diagram(components)
+    raises, or None for a valid diagram, read off the rules.
+
+    The passes are checked in component-major order, each in turn for an id
+    in 1..10**4000 - 1, a sign of +1 or -1, the role "O" or "U", a second
+    pass of its crossing in the same role, and a sign that differs from the
+    crossing's earlier pass.  Then the crossings, in order of first
+    appearance, are checked for a missing over or under pass.
+    """
+    if not components:
+        return "a diagram needs at least one component"
+    seen: dict[int, list] = {}
+    for comp in components:
+        for pas in comp:
+            x = pas.crossing
+            if not 1 <= x <= 10**4000 - 1:
+                return "crossing ids must be >= 1 and below 10**4000"
+            if pas.sign not in (1, -1):
+                return f"crossing {x}: sign must be +1 or -1"
+            if pas.role not in ("O", "U"):
+                return f"crossing {x}: unknown role {pas.role!r}"
+            earlier = seen.setdefault(x, [])
+            if any(e.role == pas.role for e in earlier):
+                return f"crossing {x} has two {'over' if pas.role == 'O' else 'under'} passes"
+            if any(e.sign != pas.sign for e in earlier):
+                return f"crossing {x} has mismatched signs"
+            earlier.append(pas)
+    for x, found in seen.items():
+        roles = [e.role for e in found]
+        if "O" not in roles:
+            return f"crossing {x} has no over pass"
+        if "U" not in roles:
+            return f"crossing {x} has no under pass"
+    return None
 
 
 def fast_phi(d: ud.Diagram, table: ud.CocycleTable) -> tuple[int, ...]:

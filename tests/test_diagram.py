@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import updown as ud
-from helpers import DELTA, KINK, KNOT_CODES, tangle
+from helpers import DELTA, KINK, KNOT_CODES, reference_validation_error, tangle
 
 
 @st.composite
@@ -27,6 +27,84 @@ def diagrams(draw, max_crossings=5, max_components=3):
         comps.append(tuple(order[prev:cut]))
         prev = cut
     return ud.Diagram(tuple(comps))
+
+
+# mostly well-formed passes on ids 1..4, with bad ids, signs and roles mixed in
+messy_passes = st.builds(
+    ud.Pass,
+    st.sampled_from((1, 2, 3, 4) * 8 + (0, -1, 10**4000, 10**4000 - 1)),
+    st.sampled_from((ud.OVER, ud.UNDER) * 8 + ("X", "o", "")),
+    st.sampled_from((1, -1) * 8 + (0, 2, -2)),
+)
+
+
+@st.composite
+def near_valid_passes(draw):
+    """A valid diagram's passes with a few dropped, duplicated, re-signed or
+    re-roled, or messy passes appended."""
+    comps = [list(comp) for comp in draw(diagrams(max_crossings=4)).components]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(comps) - 1))
+        comp = comps[k]
+        edit = draw(st.sampled_from(("drop", "duplicate", "sign", "role", "append")))
+        if edit == "append" or not comp:
+            comp.insert(draw(st.integers(0, len(comp))), draw(messy_passes))
+            continue
+        p = draw(st.integers(0, len(comp) - 1))
+        pas = comp[p]
+        if edit == "drop":
+            del comp[p]
+        elif edit == "duplicate":
+            comp.insert(draw(st.integers(0, len(comp))), pas)
+        elif edit == "sign":
+            comp[p] = ud.Pass(pas.crossing, pas.role, -pas.sign)
+        else:
+            other = ud.UNDER if pas.role == ud.OVER else ud.OVER
+            comp[p] = ud.Pass(pas.crossing, other, pas.sign)
+    return tuple(tuple(comp) for comp in comps)
+
+
+class TestValidationReference:
+    """Diagram(...) raises the first error of the rules, in their order."""
+
+    def assert_agrees(self, components):
+        expected = reference_validation_error(components)
+        try:
+            d = ud.Diagram(components)
+        except ud.ValidationError as exc:
+            assert str(exc) == expected, components
+        else:
+            assert expected is None, components
+            assert d.crossing_ids() == tuple(sorted({pas.crossing for comp in components
+                                                     for pas in comp}))
+            for comp in components:
+                for pas in comp:
+                    assert d.crossing_sign(pas.crossing) == pas.sign
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.lists(messy_passes, max_size=8).map(tuple), max_size=3).map(tuple))
+    def test_messy_pass_lists(self, components):
+        self.assert_agrees(components)
+
+    @settings(max_examples=400, deadline=None)
+    @given(near_valid_passes())
+    def test_edited_valid_diagrams(self, components):
+        self.assert_agrees(components)
+
+    @pytest.mark.parametrize("passes", [
+        # the first crossing seen without a partner is reported, not the least id
+        ((3, ud.OVER, 1), (1, ud.OVER, 1), (1, ud.UNDER, 1), (2, ud.UNDER, 1)),
+        ((2, ud.UNDER, 1), (1, ud.OVER, 1), (3, ud.UNDER, 1), (1, ud.UNDER, 1)),
+        # passes are checked in order: a mismatch on the second pass wins
+        # over a duplicate or a bad id on the third
+        ((1, ud.UNDER, -1), (1, ud.OVER, 1), (1, ud.OVER, 1)),
+        ((1, ud.OVER, 1), (1, ud.UNDER, -1), (0, ud.OVER, 1)),
+        # on one pass a duplicate role wins over a mismatch, a bad sign over a bad role
+        ((1, ud.OVER, 1), (1, ud.OVER, -1), (1, ud.UNDER, -1)),
+        ((1, "X", 0), (1, ud.OVER, 1)),
+    ])
+    def test_first_error(self, passes):
+        self.assert_agrees((tuple(ud.Pass(*pas) for pas in passes),))
 
 
 class TestParse:

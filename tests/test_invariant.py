@@ -70,6 +70,25 @@ class TestCrossingWeight:
             ud.crossing_weight(d, base_coloring(KINK), 9, F)
 
 
+# colorings of KINK's two semi-arcs that miss a semi-arc, miss the component
+# or add a component
+NOT_COVERING = [((0,),), (), ((0, 0), (0,))]
+
+
+class TestColoringCoverage:
+    @pytest.mark.parametrize("colors", NOT_COVERING)
+    def test_crossing_weight(self, colors):
+        c = ud.Coloring(ud.ColoringSpec(4), colors)
+        with pytest.raises(ud.ColoringError, match="does not cover"):
+            ud.crossing_weight(ud.parse(KINK), c, 1, F)
+
+    @pytest.mark.parametrize("colors", NOT_COVERING)
+    def test_weight_sum(self, colors):
+        c = ud.Coloring(ud.ColoringSpec(4), colors)
+        with pytest.raises(ud.ColoringError, match="does not cover"):
+            ud.weight_sum(ud.parse(KINK), c, F)
+
+
 class TestWeightSum:
     def test_delta(self):
         d = ud.parse(DELTA)
