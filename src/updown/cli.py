@@ -69,11 +69,6 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _cmd_colorings(args) -> int:
-    args.dump_colorings = True
-    return _cmd_count(args)
-
-
 def _cmd_maxord(args) -> int:
     d = _load_diagram(args.diagram)
     print(f"maxord={_coloring.maxord(d)}")
@@ -164,18 +159,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     diagram_cmd("validate", "parse and validate a diagram", _cmd_validate)
 
-    p = diagram_cmd("count", "number of colorings for an explicit modulus", _cmd_count)
-    p.add_argument("--n", type=int, required=True, help="color modulus")
-    p.add_argument("--pos", type=int, default=1, help="shift at positive crossings")
-    p.add_argument("--neg", type=int, default=1, help="shift at negative crossings")
+    def spec_cmd(name, help_text):
+        p = diagram_cmd(name, help_text, _cmd_count)
+        p.add_argument("--n", type=int, required=True, help="color modulus")
+        p.add_argument("--pos", type=int, default=1, help="shift at positive crossings")
+        p.add_argument("--neg", type=int, default=1, help="shift at negative crossings")
+        return p
+
+    p = spec_cmd("count", "number of colorings for an explicit modulus")
     p.add_argument("--dump-colorings", action="store_true",
                    help="also list every coloring")
-
-    p = diagram_cmd("colorings", "list all colorings for an explicit modulus",
-                    _cmd_colorings)
-    p.add_argument("--n", type=int, required=True, help="color modulus")
-    p.add_argument("--pos", type=int, default=1, help="shift at positive crossings")
-    p.add_argument("--neg", type=int, default=1, help="shift at negative crossings")
+    p = spec_cmd("colorings", "list all colorings for an explicit modulus")
+    p.set_defaults(dump_colorings=True)
 
     diagram_cmd("maxord", "largest modulus admitting a coloring (0 = all)", _cmd_maxord)
 

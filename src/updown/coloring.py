@@ -46,6 +46,7 @@ class Coloring:
 
 
 _COLORING_BUDGET = 10**6
+_COLOR_BUDGET = 10**7  # colorings times semi-arcs, the colors a listing builds
 _COUNT_BUDGET = _ID_LIMIT - 1  # counts stay below 10**4000, like crossing ids, so they print
 
 
@@ -91,8 +92,8 @@ def solve_colorings(d: Diagram, spec: ColoringSpec) -> list[Coloring]:
     Per component the base color of semi-arc 0 determines everything by
     propagation, and the choice is consistent exactly when the modulus
     divides that component's shift.  The output is the full solution set,
-    empty when some component is inconsistent.  A solution set of more
-    than 10**6 colorings raises ColoringError before any is built.
+    empty when some component is inconsistent.  More than 10**6 colorings,
+    or 10**7 colors (colorings times semi-arcs), raise ColoringError first.
     """
     n = spec.modulus
     offsets = []
@@ -100,9 +101,9 @@ def solve_colorings(d: Diagram, spec: ColoringSpec) -> list[Coloring]:
         if shift % n:
             return []
         offsets.append(offs)
-    r = d.num_components
-    if _power_within(n, r, _COLORING_BUDGET) is None:
-        raise ColoringError(f"n**{r} colorings exceed the budget of {_COLORING_BUDGET}")
+    r, arcs = d.num_components, sum(map(len, offsets))
+    if _power_within(n, r, min(_COLORING_BUDGET, _COLOR_BUDGET // arcs)) is None:
+        raise ColoringError(f"n**{r} colorings of {arcs} semi-arcs exceed the listing budget")
     return [Coloring(spec, tuple(tuple((base + off) % n for off in offs)
                                  for base, offs in zip(bases, offsets)))
             for bases in itertools.product(range(n), repeat=r)]

@@ -89,15 +89,17 @@ class Diagram:
 
     Every crossing id must occur exactly twice, once over and once under,
     with the same sign on both passes, which is read from the over pass.
-    The constructor validates this and maps each crossing to its two pass
-    positions; a move result is valid by construction and copies its
-    parent's two maps (_rewritten).  Instances are immutable and safe to
-    share; all operations on them are pure functions.
+    The constructor stores the components as tuples, validates them and
+    maps each crossing to its two pass positions; a move result is valid by
+    construction and applies its slice edits to its parent's maps
+    (_rewritten).  Instances are immutable and safe to share; all
+    operations on them are pure functions.
     """
 
     components: tuple[tuple[Pass, ...], ...]
 
     def __post_init__(self):
+        vars(self)["components"] = tuple(map(tuple, self.components))
         if not self.components:
             raise ValidationError("a diagram needs at least one component")
         over_at, under_at = maps = {}, {}
@@ -110,14 +112,20 @@ class Diagram:
             raise ValidationError(f"crossing {x} has no {side} pass")
         vars(self).update(_over_at=over_at, _under_at=under_at)
 
-    def _rewritten(self, components, removed, starts) -> Diagram:
-        """A rewrite's result, unvalidated: this diagram's two maps less the crossings
-        removed, with component k re-indexed from position starts[k] on; starts
-        must reach every new or moved pass."""
+    def _rewritten(self, edits) -> Diagram:
+        """A rewrite's result, unvalidated: the sorted slice edits (k, start,
+        stop, passes) of moves._edits applied from the last one back, this
+        diagram's two maps less the replaced passes, and each edited
+        component re-indexed from its first edit on."""
+        components = list(self.components)
         maps = over_at, under_at = self._over_at.copy(), self._under_at.copy()
-        for x in removed:
-            del over_at[x], under_at[x]
-        for k, start in starts.items():
+        for k, start, stop, passes in reversed(edits):
+            comp = components[k]
+            for pas in comp[start:stop]:
+                del (over_at if pas.role == OVER else under_at)[pas.crossing]
+            components[k] = comp[:start] + passes + comp[stop:]
+        components = tuple(components)
+        for k, start in {k: start for k, start, _, _ in reversed(edits)}.items():
             _index(maps, components, k, start, checked=False)
         new = object.__new__(Diagram)
         vars(new).update(components=components, _over_at=over_at, _under_at=under_at)

@@ -21,18 +21,16 @@ the variant index attached to a row is the number (1..8) of the
 weight-sum identity that the move at such a site realizes, so each index
 covers the two rows that are the two sides of one move.
 
-The moves fall in two families, each with one table and one applier.  The
-add kinds (RI-add, RII-add) are rows of _ADD_LAYOUTS, which gives the pass
-pair each variant puts on each of its arcs and so the fresh crossing ids it
-takes; _apply_add applies them.  The local kinds (RI-remove, RII-remove,
-RIII) are decided by one scan, _local_moves, which reads each adjacent pass
-pair once and looks triple slides up in _RIII_ROWS; _apply_local applies
-them.  enumerate_moves runs the scan over every position; apply_move over
-the descriptor's first site only; random_walk over every position once,
-then after each move only next to the passes the move touched (_rescan),
-carrying the other sites over.  A result is not re-validated:
-Diagram._rewritten copies its parent's two maps and re-indexes each changed
-component from the first position the move changed.
+The moves fall in two families, each with one table.  The add kinds
+(RI-add, RII-add) are rows of _ADD_LAYOUTS, which gives the pass pair each
+variant puts on each of its arcs and so the fresh crossing ids it takes.
+The local kinds (RI-remove, RII-remove, RIII) are decided by one scan,
+_local_moves, which reads each adjacent pass pair once and looks triple
+slides up in _RIII_ROWS.  enumerate_moves runs the scan over every
+position, and random_walk once, then only next to each move (_rescan).
+_edits checks a move of either kind against a diagram, scanning only its
+first site, and describes it as slice edits of the pass sequences, which
+Diagram._rewritten applies without re-validating and _rescan reads.
 """
 
 from __future__ import annotations
@@ -248,26 +246,25 @@ class _MoveIndex:
         return self.rest[idx - self.rii_add]
 
 
-def _rescan(old: Diagram, new: Diagram, mv: MoveDescriptor, kinds,
+def _rescan(old: Diagram, new: Diagram, edits, kinds,
             local: list[MoveDescriptor]) -> list[MoveDescriptor]:
     """The sorted local descriptors of new, from those of old (local) and the
-    move mv that turned old into new.
+    slice edits (_edits) that turned old into new.
 
     A local descriptor's legality depends only on the passes of its pairs
     and on their adjacency.  A cached descriptor survives, at its passes'
     new positions, when each of its pairs is still adjacent.  A pair that
-    became adjacent has both passes on crossings within one pass of a site
-    of mv, or fresh ones, and the first pair of a site holds the over pass
-    of a crossing of each of its pairs; so scanning next to both passes of
-    those crossings finds every new site.
+    became adjacent has both passes on touched crossings: an edit's new
+    passes and its old passes at start-1..stop (for an add, the two either
+    side of its cut, whose pair alone it breaks).  The first pair of a site
+    holds the over pass of a crossing of each of its pairs, so scanning next
+    to both passes of every touched crossing finds every new site.
     """
     touched = set()
-    for k, p in mv.sites:
+    for k, start, stop, passes in edits:
         comp = old.components[k]
-        touched.update(comp[i % len(comp)].crossing for i in range(p - 1, p + 3) if comp)
-    if mv.kind in _FRESH_IDS:
-        fresh = old.max_crossing_id() + 1
-        touched.update(range(fresh, fresh + _FRESH_IDS[mv.kind]))
+        touched.update(comp[i % len(comp)].crossing for i in range(start - 1, stop + 1) if comp)
+        touched.update(pas.crossing for pas in passes)
     rescanned: dict[int, set[int]] = {}
     for x in touched & new._over_at.keys():
         for k, q in (new._over_at[x], new._under_at[x]):
@@ -315,42 +312,42 @@ def _site(d: Diagram, site: tuple[int, int], arc: bool) -> tuple[int, int]:
     return k, p
 
 
-def _apply_add(d: Diagram, mv: MoveDescriptor) -> Diagram:
-    arcs = _ADD_LAYOUTS[mv.kind].get(mv.variant) if isinstance(mv.variant, str) else None
-    _require(arcs is not None, "bad %s variant %r", mv.kind, mv.variant)
-    _require(len(mv.sites) == len(arcs), "wrong number of sites for this add move")
-    sites = [_site(d, site, arc=True) for site in mv.sites]
-    _require(len(set(sites)) == len(sites), "the sites must be distinct arcs")
-    fresh = d.max_crossing_id() + 1
-    _require(fresh + _FRESH_IDS[mv.kind] <= _ID_LIMIT, "too few fresh crossing ids below 10**4000")
-    comps, first = list(d.components), {}
-    # insert on arc p means between pass p and pass p+1, and an empty
-    # component takes the insertion as its whole sequence; positions refer
-    # to arcs of the unmodified diagram, so the later arc is spliced first
-    for (k, p), ((o1, r1, s1), (o2, r2, s2)) in sorted(zip(sites, arcs), reverse=True):
-        cut = first[k] = p + 1 if comps[k] else 0
-        pair = (Pass(fresh + o1, r1, s1), Pass(fresh + o2, r2, s2))
-        comps[k] = comps[k][:cut] + pair + comps[k][cut:]
-    return d._rewritten(tuple(comps), (), first)
-
-
-def _apply_local(d: Diagram, mv: MoveDescriptor) -> Diagram:
-    _require(bool(mv.sites), "%s has no sites", mv.kind)
-    k, p = _site(d, mv.sites[0], arc=False)
-    _require(mv in _local_moves(d, {mv.kind}, k, (p,)),
-             "sites do not hold this %s configuration", mv.kind)
-    comps = [list(comp) for comp in d.components]
-    removed, first = set(), {}
-    for k, p in mv.sites:
-        q = (p + 1) % len(comps[k])
-        first[k] = min(first.get(k, p), p if q else 0)  # a pair wrapping to 0 moves all
-        if mv.kind == RIII:
-            comps[k][p], comps[k][q] = comps[k][q], comps[k][p]
-        else:
-            removed.update((comps[k][p].crossing, comps[k][q].crossing))
-            comps[k][p] = comps[k][q] = None
-    comps = tuple(tuple(pas for pas in comp if pas is not None) for comp in comps)
-    return d._rewritten(comps, removed, first)
+def _edits(d: Diagram, mv: MoveDescriptor) -> list[tuple[int, int, int, tuple[Pass, ...]]]:
+    """Check mv against d and return its rewrite as disjoint slice edits
+    (k, start, stop, passes), each replacing d.components[k][start:stop] by
+    passes, sorted by (k, start).  An add is (k, cut, cut, pair) per arc, a
+    removal (k, p, p+2, ()) per pass pair and an RIII swap (k, p, p+2, the
+    pair swapped); a pair from the last position round to 0 is two edits."""
+    edits = []
+    if mv.kind in _ADD_LAYOUTS:
+        arcs = _ADD_LAYOUTS[mv.kind].get(mv.variant) if isinstance(mv.variant, str) else None
+        _require(arcs is not None, "bad %s variant %r", mv.kind, mv.variant)
+        _require(len(mv.sites) == len(arcs), "wrong number of sites for this add move")
+        sites = [_site(d, site, arc=True) for site in mv.sites]
+        _require(len(set(sites)) == len(sites), "the sites must be distinct arcs")
+        fresh = d.max_crossing_id() + 1
+        _require(fresh + _FRESH_IDS[mv.kind] <= _ID_LIMIT, "too few fresh crossing ids below 10**4000")
+        # insert on arc p means between pass p and pass p+1, and an empty
+        # component takes the insertion as its whole sequence
+        for (k, p), ((o1, r1, s1), (o2, r2, s2)) in zip(sites, arcs):
+            cut = p + 1 if d.components[k] else 0
+            edits.append((k, cut, cut, (Pass(fresh + o1, r1, s1), Pass(fresh + o2, r2, s2))))
+    elif mv.kind in _LOCAL_KINDS:
+        _require(bool(mv.sites), "%s has no sites", mv.kind)
+        k, p = _site(d, mv.sites[0], arc=False)
+        _require(mv in _local_moves(d, {mv.kind}, k, (p,)),
+                 "sites do not hold this %s configuration", mv.kind)
+        swap = mv.kind == RIII
+        for k, p in mv.sites:
+            comp = d.components[k]
+            if p + 1 < len(comp):
+                edits.append((k, p, p + 2, (comp[p + 1], comp[p]) if swap else ()))
+            else:  # the pair runs from the last position round to 0
+                edits += [(k, 0, 1, (comp[p],) if swap else ()),
+                          (k, p, p + 1, (comp[0],) if swap else ())]
+    else:
+        raise MoveError(f"unknown move kind {mv.kind!r}")
+    return sorted(edits)
 
 
 def apply_move(d: Diagram, mv: MoveDescriptor) -> Diagram:
@@ -362,14 +359,11 @@ def apply_move(d: Diagram, mv: MoveDescriptor) -> Diagram:
     are distinct arcs and its fresh ids stay below the bound.  An RI-remove,
     RII-remove or RIII descriptor is legal exactly when the scan that
     enumerates moves lists it from the descriptor's first site; no other
-    position is scanned.  A legal move keeps one over and one under pass of
-    one sign per crossing, so the result skips Diagram's validation.
+    position is scanned.  A legal move's slice edits (_edits) keep one over
+    and one under pass of one sign per crossing, so the result skips
+    Diagram's validation.
     """
-    if mv.kind in _ADD_LAYOUTS:
-        return _apply_add(d, mv)
-    if mv.kind in _LOCAL_KINDS:
-        return _apply_local(d, mv)
-    raise MoveError(f"unknown move kind {mv.kind!r}")
+    return d._rewritten(_edits(d, mv))
 
 
 def random_walk(d: Diagram, steps: int, kinds, seed: int
@@ -394,7 +388,8 @@ def random_walk(d: Diagram, steps: int, kinds, seed: int
             trajectory.append((None, current))
             continue
         mv = index.descriptor(rng.randrange(index.total))
-        new = apply_move(current, mv)
-        current, local = new, _rescan(current, new, mv, kinds, local)
+        edits = _edits(current, mv)
+        new = current._rewritten(edits)
+        current, local = new, _rescan(current, new, edits, kinds, local)
         trajectory.append((mv, current))
     return trajectory

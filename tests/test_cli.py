@@ -199,7 +199,10 @@ class TestInputsAndErrors:
         for argv in (("phi-multiset", loops, "--cocycle", "example-f", "--unchecked-links"),
                      ("count", loops, "--n", "4", "--dump-colorings"),
                      ("cocycle-check", "zero(100000,2)"),
-                     ("count", " ; ".join(["()"] * 800), "--n", "1000000")):
+                     ("count", " ; ".join(["()"] * 800), "--n", "1000000"),
+                     # 10**6 colorings, within the coloring budget, of 200 semi-arcs
+                     ("colorings", " ".join(f"O{x}+ U{x}+" for x in range(1, 101)),
+                      "--n", "1000000")):
             code, out, err = run(capsys, *argv)
             assert code == 1
             assert out == ""

@@ -115,6 +115,20 @@ class TestSolveAndCount:
         with pytest.raises(ud.ColoringError, match="budget"):
             ud.solve_colorings(d, spec)
 
+    def test_color_budget(self, monkeypatch):
+        # 10**6 colorings of a 200-arc knot would be 2 * 10**8 colors: the
+        # listing budget also bounds colorings times semi-arcs, at 10**7
+        kinks = ud.parse(" ".join(f"O{x}+ U{x}+" for x in range(1, 101)))
+        assert ud.count_colorings(kinks, ud.ColoringSpec(10**6)) == 10**6
+        with pytest.raises(ud.ColoringError, match="200 semi-arcs exceed the listing budget"):
+            ud.solve_colorings(kinks, ud.ColoringSpec(10**6))
+        # at the boundary, made cheap: 10 colorings of 10 semi-arcs fit in 100
+        monkeypatch.setattr(ud.coloring, "_COLOR_BUDGET", 100)
+        d = ud.parse(" ".join(f"O{x}+ U{x}+" for x in range(1, 6)))
+        assert len(ud.solve_colorings(d, ud.ColoringSpec(10))) == 10
+        with pytest.raises(ud.ColoringError, match="budget"):
+            ud.solve_colorings(d, ud.ColoringSpec(11))
+
     def test_count_budget_boundary(self):
         # counts stay below 10**4000 and are exact up to it
         spec = ud.ColoringSpec(10)

@@ -162,6 +162,15 @@ class TestParse:
         with pytest.raises(ud.ValidationError, match=re.escape(message)):
             ud.Diagram((tuple(ud.Pass(*pas) for pas in passes),))
 
+    def test_list_components_become_tuples(self):
+        # the constructor stores tuples, so a diagram built from lists is
+        # equal to the parsed one, hashable, and rewritten like it
+        d = ud.Diagram([[ud.Pass(1, ud.OVER, 1), ud.Pass(1, ud.UNDER, 1)]])
+        parsed = ud.parse(KINK)
+        assert d == parsed and hash(d) == hash(parsed)
+        mv = ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 1),))
+        assert ud.apply_move(d, mv) == ud.apply_move(parsed, mv)
+
     def test_oversized_crossing_id(self):
         # more digits than int() converts is still a grammar error
         with pytest.raises(ud.ParseError) as exc:

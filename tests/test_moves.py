@@ -16,6 +16,7 @@ from updown.moves import (
     _RIII_ROWS,
     _MoveIndex,
     _descriptor_key,
+    _edits,
     _rescan,
 )
 from helpers import (
@@ -390,10 +391,10 @@ class TestCarriedIndex:
         kinds = local | adds
         checked = []
 
-        def rescan(old, new, mv, kinds, carried):
-            out = _rescan(old, new, mv, kinds, carried)
-            assert out == _MoveIndex(new, kinds).local, (ud.serialize(old), mv)
-            checked.append(mv)
+        def rescan(old, new, edits, kinds, carried):
+            out = _rescan(old, new, edits, kinds, carried)
+            assert out == _MoveIndex(new, kinds).local, (ud.serialize(old), edits)
+            checked.append(edits)
             return out
 
         monkeypatch.setattr(moves, "_rescan", rescan)
@@ -407,9 +408,44 @@ class TestCarriedIndex:
         d = ud.parse("O1- U2+ O2+ U3- O3- U4- O4- U1- U5+ O5+ O6- U6-")
         mv = ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 1),))
         new = ud.apply_move(d, mv)
-        carried = _rescan(d, new, mv, ALL_KINDS, _MoveIndex(d, ALL_KINDS).local)
+        carried = _rescan(d, new, _edits(d, mv), ALL_KINDS, _MoveIndex(d, ALL_KINDS).local)
         assert carried == _MoveIndex(new, ALL_KINDS).local
         assert ((0, 11), (0, 13), (0, 9)) in [m.sites for m in carried if m.kind == ud.RIII]
+
+
+def _wrapping_slides():
+    """Triple-slide codes with one pass pair from the last position round to
+    0: the T, M or B pair in one component, or T and M pairs in two."""
+    codes = []
+    for row in sorted(_RIII_ROWS)[::4]:
+        top, mid, low = riii_strands(row)
+        one = top + mid + low
+        codes += [ud.Diagram((tuple(one[r:] + one[:r]),)) for r in (1, 3, 5)]
+        codes.append(ud.Diagram(((top[1], top[0]), tuple(mid[1:] + low + mid[:1]))))
+    return [ud.serialize(d) for d in codes]
+
+
+# (code, a local kind with a descriptor on a pair from the last position to 0)
+WRAP_CASES = [
+    ("U1+ O2+ U2+ O1+", ud.RI_REMOVE),
+    ("O2+ O1- U1- ; U3+ U2+ O3+", ud.RI_REMOVE),
+    ("O2- O3+ U3+ U1+ U2- O1+", ud.RII_REMOVE),
+    ("O2- O1+ ; U2- O3+ U3+ U1+", ud.RII_REMOVE),
+] + [(code, ud.RIII) for code in _wrapping_slides()]
+
+
+def _swapped_or_cut(d, mv):
+    """mv's result read off the module docstring: RIII swaps each of its pass
+    pairs, and a removal deletes both passes of each crossing in them."""
+    comps = [list(comp) for comp in d.components]
+    gone = set()
+    for k, p in mv.sites:
+        q = (p + 1) % len(comps[k])
+        comps[k][p], comps[k][q] = comps[k][q], comps[k][p]
+        if mv.kind != ud.RIII:
+            gone |= {comps[k][p].crossing, comps[k][q].crossing}
+    return ud.Diagram(tuple(tuple(pas for pas in comp if pas.crossing not in gone)
+                            for comp in comps))
 
 
 class TestResultMaps:
@@ -447,6 +483,23 @@ class TestResultMaps:
         out = ud.apply_move(d, mv)
         assert ud.serialize(out) == after
         assert_indexed(out)
+
+    @pytest.mark.parametrize("code,kind", WRAP_CASES)
+    def test_pairs_round_the_end(self, code, kind):
+        # such a pair is rewritten as two one-pass slice edits, at the last
+        # position and at 0; an add on the last arc inserts after its pass
+        d = ud.parse(code)
+        last = {(k, len(comp) - 1) for k, comp in enumerate(d.components)}
+        wrapping = [mv for mv in ud.enumerate_moves(d, ALL_KINDS) if last & set(mv.sites)]
+        assert kind in {mv.kind for mv in wrapping}
+        for mv in wrapping:
+            out = ud.apply_move(d, mv)
+            assert_indexed(out)
+            if mv.kind in LOCAL_KINDS:
+                assert mv in brute_local_moves(d, mv.kind)
+                assert out == _swapped_or_cut(d, mv), mv
+            else:
+                assert out == brute_add(d, mv), mv
 
     def test_add_layouts_pair_each_fresh_id(self):
         # an add result is valid by construction: each fresh id gets one over
