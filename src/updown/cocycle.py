@@ -40,8 +40,7 @@ class CocycleTable:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise CocycleError("both moduli must be >= 1")
+        _require_size(self.n, self.m)
         if len(self.entries) != 2 * self.n * self.n:
             raise CocycleError(
                 f"need exactly {2 * self.n * self.n} entries, got {len(self.entries)}")
@@ -117,6 +116,16 @@ _CONDITIONS = {
 _OUTPUT_BUDGET = 10_000_000
 
 
+def _require_size(n: int, m: int, tables: int = 0) -> None:
+    """CocycleError unless both moduli are >= 1, then BudgetExceededError
+    when `tables` tables of 2*n*n entries exceed 10**7 entries.  The message
+    names the budget, not the size, which may be too long for str()."""
+    if n < 1 or m < 1:
+        raise CocycleError("both moduli must be >= 1")
+    if tables and tables * 2 * n * n > _OUTPUT_BUDGET:
+        raise BudgetExceededError(f"table entries exceed the output budget of {_OUTPUT_BUDGET}")
+
+
 def cocycle_violation(t: CocycleTable) -> CocycleViolation | None:
     """First violated condition in order 0..8, least witness first, or None;
     a table passing check_shiftable_system is a cocycle without a scan."""
@@ -133,8 +142,7 @@ def _scan_violation(t: CocycleTable) -> CocycleViolation | None:
             if e[(0 if sign > 0 else nn) + a * (n + 1)] != 0:
                 return CocycleViolation(0, (a, sign))
     if 8 * n ** 3 > _OUTPUT_BUDGET:
-        raise BudgetExceededError(
-            f"{8 * n ** 3} condition rows exceed the output budget of {_OUTPUT_BUDGET}")
+        raise BudgetExceededError(f"condition rows exceed the output budget of {_OUTPUT_BUDGET}")
     for k, ((ab1, bc1, ac1), (ab2, bc2, ac2)) in _CONDITIONS.items():
         # a term (o1, o2, eps) at (x, y) reads (eps < 0)*nn + (x + o1)%n*n + (y + o2)%n
         for a in range(n):
@@ -189,8 +197,8 @@ def check_shiftable_system(t: CocycleTable) -> bool:
     return True
 
 
-def _row_space(n: int, m: int) -> tuple[range, range]:
-    """Step-2 differences k and odd-chain starts c of the shiftable rows.
+def _row(n: int, m: int, k: int, c: int) -> tuple[int, ...]:
+    """The shiftable row with step-2 difference k and odd-chain start c.
 
     A row is a difference table h with h(0) = 0 and h(u) - h(u - 2) = k for
     every u.  For odd n the chain h(2j) = j*k covers Z_n and closes when
@@ -198,11 +206,6 @@ def _row_space(n: int, m: int) -> tuple[range, range]:
     chain h(2j + 1) = c + j*k, with c free, each have length n/2 and close
     when (n/2)*k = 0 (mod m).
     """
-    length = n if n % 2 else n // 2
-    return range(0, m, m // math.gcd(length, m)), range(1 if n % 2 else m)
-
-
-def _row(n: int, m: int, k: int, c: int) -> tuple[int, ...]:
     h = [0] * n
     for j in range(n if n % 2 else n // 2):
         h[2 * j % n] = j * k % m
@@ -216,20 +219,17 @@ def enumerate_shiftable(n: int, m: int, jobs: int = 1) -> list[CocycleTable]:
     difference vectors (plus block first, entry for difference 1 first).
 
     The plus and minus rows are independent and range over the same rows
-    (see _row_space), so the tables are every (plus, minus) pair of sorted
-    rows, plus row major.  There are gcd(n, m)**2 tables for odd n and
-    (m * gcd(n/2, m))**2 for even n.  Requests whose output exceeds 10**7
-    entries raise BudgetExceededError before any table is built.  `jobs`
-    is accepted for compatibility and ignored.
+    (see _row): gcd(length, m) steps k close a chain of that length, and c
+    takes one value for odd n and m for even n.  So the tables, every
+    (plus, minus) pair of sorted rows, plus row major, number gcd(n, m)**2
+    for odd n and (m * gcd(n/2, m))**2 for even n.  Requests whose output
+    exceeds 10**7 entries raise BudgetExceededError before any row is built.
+    `jobs` is accepted for compatibility and ignored.
     """
-    if n < 1 or m < 1:
-        raise CocycleError("both moduli must be >= 1")
-    steps, starts = _row_space(n, m)
-    size = (len(steps) * len(starts)) ** 2 * 2 * n * n
-    if size > _OUTPUT_BUDGET:
-        raise BudgetExceededError(
-            f"{size} table entries exceed the output budget of {_OUTPUT_BUDGET}")
-    rows = sorted(_row(n, m, k, c) for k in steps for c in starts)
+    length, starts = (n, 1) if n % 2 else (n // 2, m)
+    steps = math.gcd(length, m)
+    _require_size(n, m, (steps * starts) ** 2)
+    rows = sorted(_row(n, m, k, c) for k in range(0, m, m // steps) for c in range(starts))
     blocks = [tuple(h[(a - b) % n] for a in range(n) for b in range(n)) for h in rows]
     return [CocycleTable(n, m, plus + minus) for plus in blocks for minus in blocks]
 
@@ -254,13 +254,11 @@ def builtin_table(name: str) -> CocycleTable:
     if name == "example-g":
         # nonzero only next to the diagonal on the negative side
         return CocycleTable.from_differences(4, 4, (0, 0, 0, 0), (0, 1, 0, 1))
-    m = _ZERO_NAME.match(name)
-    if m:
-        n = _modulus(m.group(1))
-        if 2 * n * n > _OUTPUT_BUDGET:
-            raise BudgetExceededError(
-                f"{2 * n * n} table entries exceed the output budget of {_OUTPUT_BUDGET}")
-        return CocycleTable.zero(n, _modulus(m.group(2)))
+    zero = _ZERO_NAME.match(name)
+    if zero:
+        n, m = _modulus(zero.group(1)), _modulus(zero.group(2))
+        _require_size(n, m, 1)
+        return CocycleTable.zero(n, m)
     raise CocycleError(f"unknown builtin cocycle {name!r}; known: {', '.join(BUILTIN_NAMES)}")
 
 
@@ -268,7 +266,8 @@ def parse_table(text: str) -> CocycleTable:
     """Read the table file format.
 
     First line "n=<n> m=<m>", then one line "<a> <b> <+|-> <value>" per
-    entry; all 2*n*n entries must appear exactly once.
+    entry; all 2*n*n entries must appear exactly once.  A header asking for
+    more than 10**7 entries raises BudgetExceededError before any entry is read.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -277,8 +276,7 @@ def parse_table(text: str) -> CocycleTable:
     if header is None:
         raise CocycleError(f"bad header line {lines[0]!r}; expected 'n=<n> m=<m>'")
     n, m = _modulus(header.group(1)), _modulus(header.group(2))
-    if n < 1 or m < 1:
-        raise CocycleError("both moduli must be >= 1")
+    _require_size(n, m, 1)
     seen: dict[tuple[int, int, int], int] = {}
     for ln in lines[1:]:
         parts = ln.split()

@@ -287,16 +287,8 @@ def connected_sum(d1: Diagram, d2: Diagram, s1: SemiArcId, s2: SemiArcId) -> Dia
     offset = d1.max_crossing_id()
     seq1 = d1.components[0]
     seq2 = tuple(Pass(p.crossing + offset, p.role, p.sign) for p in d2.components[0])
-    if seq2:
-        cut = (s2.position + 1) % len(seq2)
-        mid = seq2[cut:] + seq2[:cut]
-    else:
-        mid = ()
-    if seq1:
-        spliced = seq1[:s1.position + 1] + mid + seq1[s1.position + 1:]
-    else:
-        spliced = mid
-    return Diagram((spliced,))
+    cut = (s2.position + 1) % max(1, len(seq2))
+    return Diagram((seq1[:s1.position + 1] + seq2[cut:] + seq2[:cut] + seq1[s1.position + 1:],))
 
 
 def reverse_orientation(d: Diagram) -> Diagram:

@@ -256,9 +256,11 @@ def _rescan(old: Diagram, new: Diagram, edits, kinds,
     new positions, when each of its pairs is still adjacent.  A pair that
     became adjacent has both passes on touched crossings: an edit's new
     passes and its old passes at start-1..stop (for an add, the two either
-    side of its cut, whose pair alone it breaks).  The first pair of a site
-    holds the over pass of a crossing of each of its pairs, so scanning next
-    to both passes of every touched crossing finds every new site.
+    side of its cut, whose pair alone it breaks).  Each pair of a site holds
+    a crossing whose over pass lies in the site's first pair (RI: the kink;
+    RII: a or b; RIII: TM in the M pair, TB in the B pair), touched when the
+    pair is new, so scanning at q-1 and q, for the over pass q of every
+    touched crossing, finds every new site.
     """
     touched = set()
     for k, start, stop, passes in edits:
@@ -267,8 +269,8 @@ def _rescan(old: Diagram, new: Diagram, edits, kinds,
         touched.update(pas.crossing for pas in passes)
     rescanned: dict[int, set[int]] = {}
     for x in touched & new._over_at.keys():
-        for k, q in (new._over_at[x], new._under_at[x]):
-            rescanned.setdefault(k, set()).update(((q - 1) % len(new.components[k]), q))
+        k, q = new._over_at[x]
+        rescanned.setdefault(k, set()).update(((q - 1) % len(new.components[k]), q))
     out = []
     for cached in local:
         sites = []

@@ -209,16 +209,24 @@ class TestInputsAndErrors:
             assert err.startswith("error:") and "budget" in err
 
     def test_oversized_integers_exit_one(self, capsys, tmp_path):
-        nines = "9" * 5000
-        table = tmp_path / "big.tab"
+        # int() converts 2200 digits but not 5000; a size computed from 2200
+        # digits has more digits than str() formats
+        nines, wide = "9" * 5000, "9" * 2200
+        table, wide_table = tmp_path / "big.tab", tmp_path / "wide.tab"
         table.write_text(f"n={nines} m=2\n")
-        for argv in (("validate", f"O{nines}+"),
-                     ("cocycle-check", f"zero({nines},2)"),
-                     ("cocycle-check", f"@{table}")):
+        wide_table.write_text(f"n={wide} m=2\n")
+        for argv, word in ((("validate", f"O{nines}+"), ""),
+                           (("cocycle-check", f"zero({nines},2)"), ""),
+                           (("cocycle-check", f"@{table}"), ""),
+                           (("cocycle-check", f"@{wide_table}"), "budget"),
+                           (("cocycle-check", f"zero({wide},2)"), "budget"),
+                           (("cocycle-search", "--n", wide, "--m", "2"), "budget"),
+                           (("cocycle-search", "--n", "4", "--m", wide), "budget")):
             code, out, err = run(capsys, *argv)
             assert code == 1
             assert out == ""
-            assert err.startswith("error:")
+            assert err.startswith("error:") and word in err
+            assert "Traceback" not in err and err.count("\n") == 1
 
     def test_walk_from_oversized_ids_exits_one(self, capsys):
         # fresh ids max + 1 would pass str()'s 4300-digit limit

@@ -44,8 +44,14 @@ class TestBuiltins:
 
     def test_zero_budget(self):
         # 2 * 10**10 entries; the guard raises before allocating any
-        with pytest.raises(ud.BudgetExceededError):
+        with pytest.raises(ud.BudgetExceededError) as exc:
             ud.builtin_table("zero(100000,2)")
+        assert "20000000000" not in str(exc.value)
+
+    def test_zero_budget_past_str_limit(self):
+        # 2 * n * n has more digits than str() formats
+        with pytest.raises(ud.BudgetExceededError):
+            ud.builtin_table(f"zero({'9' * 2200},2)")
 
     @pytest.mark.parametrize("name", [f"zero({'9' * 5000},2)", f"zero(2,{'9' * 5000})"],
                              ids=["n", "m"])
@@ -225,6 +231,12 @@ class TestEnumerate:
             with pytest.raises(ud.BudgetExceededError):
                 ud.enumerate_shiftable(n, m)
 
+    @pytest.mark.parametrize("n, m", [(10**2199, 2), (4, 10**23)], ids=["n", "m"])
+    def test_budget_guard_huge_moduli(self, n, m):
+        # the size has more digits than str() formats, or m rows overflow len(range(m))
+        with pytest.raises(ud.BudgetExceededError):
+            ud.enumerate_shiftable(n, m)
+
     def test_parallel_matches_serial(self):
         serial = ud.enumerate_shiftable(3, 4)
         parallel = ud.enumerate_shiftable(3, 4, jobs=2)
@@ -258,6 +270,12 @@ class TestFileFormat:
     def test_oversized_header(self, header):
         with pytest.raises(ud.CocycleError, match="too large"):
             ud.parse_table(header + "\n0 0 + 0\n")
+
+    @pytest.mark.parametrize("n", ["3000", "9" * 2200], ids=["3000", "2200-digits"])
+    def test_header_budget(self, n):
+        # raised before the bad entry line is read
+        with pytest.raises(ud.BudgetExceededError):
+            ud.parse_table(f"n={n} m=2\nnot an entry\n")
 
     def test_missing_entries(self):
         with pytest.raises(ud.CocycleError, match="missing"):

@@ -236,12 +236,37 @@ class TestComponentShift:
             ud.component_shift(ud.parse("()"), -1)
 
 
+class TestSelfCrossing:
+    def test_knot_crossing(self):
+        assert ud.parse(KINK).is_self_crossing(1)
+
+    def test_link_crossing(self):
+        d = ud.parse(tangle(1))
+        assert not d.is_self_crossing(1) and not d.is_self_crossing(2)
+
+    def test_unknown_id(self):
+        with pytest.raises(ud.ValidationError):
+            ud.parse(KINK).is_self_crossing(2)
+
+
 class TestConnectedSum:
     def test_with_unknot_is_identity(self):
         d = ud.parse(DELTA)
         for p in range(4):
             out = ud.connected_sum(d, ud.parse("()"), ud.SemiArcId(0, p), ud.SemiArcId(0, 0))
             assert out == d
+
+    def test_unknot_with_diagram_is_it_cut_open(self):
+        d = ud.parse(DELTA)
+        comp = d.components[0]
+        for p in range(4):
+            out = ud.connected_sum(ud.parse("()"), d, ud.SemiArcId(0, 0), ud.SemiArcId(0, p))
+            assert out == ud.Diagram((comp[p + 1:] + comp[:p + 1],))
+
+    def test_unknot_with_unknot(self):
+        out = ud.connected_sum(ud.parse("()"), ud.parse("()"),
+                               ud.SemiArcId(0, 0), ud.SemiArcId(0, 0))
+        assert out == ud.parse("()")
 
     def test_kink_with_kink(self):
         out = ud.connected_sum(ud.parse(KINK), ud.parse(KINK),
