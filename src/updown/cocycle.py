@@ -42,8 +42,7 @@ class CocycleTable:
     def __post_init__(self):
         _require_size(self.n, self.m)
         if len(self.entries) != 2 * self.n * self.n:
-            raise CocycleError(
-                f"need exactly {2 * self.n * self.n} entries, got {len(self.entries)}")
+            raise CocycleError(f"need exactly 2*n*n entries, got {len(self.entries)}")
         if min(self.entries) < 0 or max(self.entries) >= self.m:
             raise CocycleError("entries must be reduced residues mod m")
 

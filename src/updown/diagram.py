@@ -7,7 +7,7 @@ invariant computed by this package depends only on the real crossings, and
 the four virtual Reidemeister moves act as the identity on this
 representation.
 
-Text grammar (tokens separated by one or more spaces)::
+Text grammar (tokens separated by any run of whitespace, as str.split reads it)::
 
     diagram   := component (";" component)*
     component := "()" | pass+
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import UpDownError
 
@@ -32,6 +33,9 @@ _PASS_RE = re.compile(r"([OU])([0-9]+)([+-])\Z")
 # ids below this stay within str()'s 4300-digit limit; moves add no id at or past it
 _ID_LIMIT = 10**4000
 _TOKEN_RE = re.compile(r"\S+")
+# each match is one whole whitespace-delimited token of a well-formed code: a pass
+# whose id is in 1..10**4000 - 1 (groups role, id, sign), ';' or '()'
+_CODE_TOKEN_RE = re.compile(r"(?<!\S)(?:([OU])(0*[1-9][0-9]{0,3999})([+-])|(;)|(\(\)))(?!\S)")
 
 
 class ParseError(UpDownError):
@@ -46,7 +50,7 @@ class ValidationError(UpDownError):
     """Well-formed text that is not a valid diagram."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pass:
     """One strand's traversal of a real crossing."""
 
@@ -178,9 +182,35 @@ class Diagram:
 def parse(text: str) -> Diagram:
     """Parse a Gauss-code string into a validated diagram.
 
-    Raises ParseError (with the offending character offset) on grammar
-    violations and ValidationError on structural ones.
+    A well-formed code is read in one regex pass; any other text goes to
+    _raise_parse_error.  Raises ParseError (with the offending character
+    offset) on grammar violations and ValidationError on structural ones.
     """
+    tokens = _CODE_TOKEN_RE.findall(text)
+    if len(tokens) != len(text.split()):
+        _raise_parse_error(text)
+    tokens.append(("", "", "", ";", ""))  # closes the last component
+    components, passes, loops = [], [], 0
+    try:
+        for role, digits, sign, semi, loop in tokens:
+            if role:
+                passes.append(Pass(int(digits), role, 1 if sign == "+" else -1))
+            elif loop:
+                loops += 1
+            elif bool(passes) + loops == 1:
+                components.append(passes)
+                passes, loops = [], 0
+            else:  # an empty component, or '()' with anything else
+                _raise_parse_error(text)
+    except ValueError:  # an id with more digits than int() converts
+        _raise_parse_error(text)
+    return Diagram(components)
+
+
+def _raise_parse_error(text: str) -> NoReturn:
+    """Raise the first grammar violation of a text parse rejects: an empty
+    component, then per component '()' mixed with passes, a token that is
+    not a pass, or an id outside 1..10**4000 - 1, each at its offset."""
     tokens = [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(text)]
     if not tokens:
         raise ParseError("empty input; a crossing-free component is written ()", 0)
@@ -196,16 +226,12 @@ def parse(text: str) -> Diagram:
             groups[-1].append((tok, pos))
     if not groups[-1]:
         raise ParseError("empty component after ';'", last_sep_pos)
-
-    components = []
     for group in groups:
         if any(tok == "()" for tok, _ in group):
             if len(group) != 1:
                 bad = next(pos for tok, pos in group if tok == "()")
                 raise ParseError("'()' cannot be mixed with passes", bad)
-            components.append(())
             continue
-        passes = []
         for tok, pos in group:
             m = _PASS_RE.match(tok)
             if m is None:
@@ -216,9 +242,7 @@ def parse(text: str) -> Diagram:
                 crossing = _ID_LIMIT
             if not 0 < crossing < _ID_LIMIT:
                 raise ParseError("crossing ids must be >= 1 and below 10**4000", pos)
-            passes.append(Pass(crossing, m.group(1), 1 if m.group(3) == "+" else -1))
-        components.append(tuple(passes))
-    return Diagram(tuple(components))
+    raise AssertionError("unreachable: every text parse rejects breaks the grammar")
 
 
 def serialize(d: Diagram) -> str:

@@ -8,7 +8,8 @@ filtering every difference table through the nine conditions, condition
 violations by evaluating every identity at every point, local move
 sites by trying every pair or triple of adjacent pass pairs, add moves
 by placing the inserted passes while walking the unmodified components,
-and the first validation error by checking the diagram rules in order.
+the first validation error by checking the diagram rules in order, and
+Gauss-code text by walking its tokens one at a time.
 They are only usable on small inputs, which is what the frozen expected
 values are derived from.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
 
@@ -349,6 +351,56 @@ def reference_validation_error(components) -> str | None:
         if "U" not in roles:
             return f"crossing {x} has no under pass"
     return None
+
+
+_REF_PASS_RE = re.compile(r"([OU])([0-9]+)([+-])\Z")
+_REF_ID_LIMIT = 10**4000
+_REF_TOKEN_RE = re.compile(r"\S+")
+
+
+def reference_parse(text: str) -> ud.Diagram:
+    """ud.parse as a token walk: each whitespace-delimited token is matched
+    on its own, grouped into components at ';', and the passes are handed
+    to ud.Diagram for validation.  It raises the same ParseError messages at
+    the same positions, first grammar violation first."""
+    tokens = [(m.group(0), m.start()) for m in _REF_TOKEN_RE.finditer(text)]
+    if not tokens:
+        raise ud.ParseError("empty input; a crossing-free component is written ()", 0)
+    groups: list[list[tuple[str, int]]] = [[]]
+    last_sep_pos = 0
+    for tok, pos in tokens:
+        if tok == ";":
+            if not groups[-1]:
+                raise ud.ParseError("empty component before ';'", pos)
+            groups.append([])
+            last_sep_pos = pos
+        else:
+            groups[-1].append((tok, pos))
+    if not groups[-1]:
+        raise ud.ParseError("empty component after ';'", last_sep_pos)
+
+    components = []
+    for group in groups:
+        if any(tok == "()" for tok, _ in group):
+            if len(group) != 1:
+                bad = next(pos for tok, pos in group if tok == "()")
+                raise ud.ParseError("'()' cannot be mixed with passes", bad)
+            components.append(())
+            continue
+        passes = []
+        for tok, pos in group:
+            m = _REF_PASS_RE.match(tok)
+            if m is None:
+                raise ud.ParseError(f"bad pass token {tok!r}", pos)
+            try:
+                crossing = int(m.group(2))
+            except ValueError:  # more digits than int() converts
+                crossing = _REF_ID_LIMIT
+            if not 0 < crossing < _REF_ID_LIMIT:
+                raise ud.ParseError("crossing ids must be >= 1 and below 10**4000", pos)
+            passes.append(ud.Pass(crossing, m.group(1), 1 if m.group(3) == "+" else -1))
+        components.append(tuple(passes))
+    return ud.Diagram(tuple(components))
 
 
 def fast_phi(d: ud.Diagram, table: ud.CocycleTable) -> tuple[int, ...]:

@@ -308,8 +308,11 @@ class TestFileFormat:
 
 class TestTableBasics:
     def test_entry_count_enforced(self):
-        with pytest.raises(ud.CocycleError):
+        with pytest.raises(ud.CocycleError, match=r"need exactly 2\*n\*n entries, got 7"):
             ud.CocycleTable(2, 2, (0,) * 7)
+        # the message names the rule, so a size past str()'s digit limit still reports
+        with pytest.raises(ud.CocycleError, match="got 1"):
+            ud.CocycleTable(10**2199, 2, (0,))
 
     def test_values_must_be_reduced(self):
         for entries in [(0, 3), (-1, 0), (0, 2)]:

@@ -1,5 +1,8 @@
 """Gauss-code parsing, validation and the structural diagram operations."""
 
+import copy
+import dataclasses
+import pickle
 import re
 
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import updown as ud
-from helpers import DELTA, KINK, KNOT_CODES, reference_validation_error, tangle
+from helpers import (DELTA, KINK, KNOT_CODES, reference_parse, reference_validation_error,
+                     tangle)
 
 
 @st.composite
@@ -107,6 +111,41 @@ class TestValidationReference:
         self.assert_agrees((tuple(ud.Pass(*pas) for pas in passes),))
 
 
+_ZERO_PADDED = f"O1+ U1+ O{'0' * 4300}1+"  # an id with more digits than int() converts
+# each grammar violation with its exact message and position
+_SYNTAX_ERRORS = {
+    "": ("empty input; a crossing-free component is written ()", 0),
+    "   ": ("empty input; a crossing-free component is written ()", 0),
+    "O1+ ;": ("empty component after ';'", 4),
+    " O1+ U1+ \t;\n": ("empty component after ';'", 10),
+    "; O1+": ("empty component before ';'", 0),
+    "O1+ ; ; U1+": ("empty component before ';'", 6),
+    "O1+;U1+": ("bad pass token 'O1+;U1+'", 0),
+    "X1+": ("bad pass token 'X1+'", 0),
+    "O1": ("bad pass token 'O1'", 0),
+    "O1*": ("bad pass token 'O1*'", 0),
+    "O0+ U0+": ("crossing ids must be >= 1 and below 10**4000", 0),
+    _ZERO_PADDED: ("crossing ids must be >= 1 and below 10**4000", 8),
+    "() O1+ U1+": ("'()' cannot be mixed with passes", 0),
+    "O1+ () ; ()": ("'()' cannot be mixed with passes", 4),
+    "() () ; O1+ U1+": ("'()' cannot be mixed with passes", 0),
+}
+
+
+class TestPass:
+    def test_value_semantics(self):
+        # a slotted Pass keeps the dataclass equality, hash and copies
+        pas = ud.Pass(3, ud.OVER, -1)
+        assert pas == ud.Pass(3, ud.OVER, -1) and pas != ud.Pass(3, ud.UNDER, -1)
+        assert hash(pas) == hash(ud.Pass(3, ud.OVER, -1)) == hash((3, ud.OVER, -1))
+        assert pas != (3, ud.OVER, -1)
+        assert pickle.loads(pickle.dumps(pas)) == pas
+        assert copy.deepcopy(pas) == pas
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pas.sign = 1
+        assert not hasattr(pas, "__dict__")
+
+
 class TestParse:
     def test_positive_kink(self):
         d = ud.parse("O1+ U1+")
@@ -129,13 +168,26 @@ class TestParse:
         assert d.components == ((),)
 
     @pytest.mark.parametrize("text", [
-        "", "   ", "O1+ ;", "; O1+", "O1+ ; ; U1+",
-        "O1+;U1+", "X1+", "O1", "O1*", "O0+ U0+", "() O1+ U1+",
-    ])
+        pytest.param(text, id="zero-padded id") if text == _ZERO_PADDED else text
+        for text in _SYNTAX_ERRORS])
     def test_syntax_errors_carry_position(self, text):
+        message, position = _SYNTAX_ERRORS[text]
         with pytest.raises(ud.ParseError) as exc:
             ud.parse(text)
-        assert exc.value.position >= 0
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize("text", [
+        "O1+\tU1+", "O1+\nU1+\n", "O1+\x1cU1+", "\u00a0O1+\u00a0U1+",
+        "() ; O1+ U1+", " () ;\t() ", "O007+ U7+", f"O{'0' * 4289}7+ U7+",
+    ])
+    def test_valid_text_takes_one_path(self, text, monkeypatch):
+        # only a malformed text reaches the token walk that finds its error
+        def walked(text):
+            raise AssertionError(f"{text!r} reached the error walk")
+
+        monkeypatch.setattr("updown.diagram._raise_parse_error", walked)
+        assert ud.parse(text) == reference_parse(text)
 
     @pytest.mark.parametrize("text", [
         "O1+ U1-",            # mismatched signs
@@ -329,6 +381,29 @@ def test_parse_raises_only_domain_errors(text):
     except (ud.ParseError, ud.ValidationError):
         return
     assert ud.parse(ud.serialize(d)) == d
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except (ud.ParseError, ud.ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@st.composite
+def near_valid_codes(draw):
+    """A valid code with one character, or a 5000-digit run, inserted."""
+    code = draw(st.sampled_from(KNOT_CODES + [tangle(1), "() ; O1+ U1+", "O1+ O2+ ; U1+ U2+"]))
+    at = draw(st.integers(0, len(code)))
+    extra = draw(st.sampled_from(list("OU0123456789+-;() \t\n\x1c") + ["0" * 5000, "9" * 5000]))
+    return code[:at] + extra + code[at:]
+
+
+@given(st.one_of(near_valid_codes(), st.text()))
+@settings(max_examples=400, deadline=None)
+def test_parse_agrees_with_token_walk(text):
+    # the same diagram, or the same error type, message and position
+    assert _parse_outcome(ud.parse, text) == _parse_outcome(reference_parse, text)
 
 
 @given(diagrams())
