@@ -42,10 +42,6 @@ def _load_cocycle(arg: str) -> _cocycle.CocycleTable:
     return _cocycle.builtin_table(arg)
 
 
-def _spec_from(args) -> _coloring.ColoringSpec:
-    return _coloring.ColoringSpec(args.n, args.pos, args.neg)
-
-
 def _print_coloring(index: int, c: _coloring.Coloring):
     print(f"coloring={index}")
     for k, comp in enumerate(c.colors):
@@ -61,7 +57,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_count(args) -> int:
     d = _load_diagram(args.diagram)
-    spec = _spec_from(args)
+    spec = _coloring.ColoringSpec(args.n, args.pos, args.neg)
     found = _coloring.solve_colorings(d, spec) if args.dump_colorings else []
     print(f"count={_coloring.count_colorings(d, spec)}")
     for i, c in enumerate(found):

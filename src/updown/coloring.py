@@ -60,10 +60,15 @@ def _power_within(n: int, r: int, budget: int) -> int | None:
     return power
 
 
-def _component_offsets(d: Diagram, spec: ColoringSpec):
-    """(semi-arc offsets, shift) per component under the spec's weights."""
+def _component_offsets(d: Diagram, spec: ColoringSpec) -> list[tuple[int, ...]] | None:
+    """Each component's semi-arc offsets under the spec's weights, or None
+    when the modulus does not divide some component's shift.  This is the
+    colorability test: the diagram has colorings exactly when it is not None."""
     weights = (spec.pos_shift, spec.neg_shift)
-    return [_semi_arc_offsets(d, k, weights) for k in range(d.num_components)]
+    walks = [_semi_arc_offsets(d, k, weights) for k in range(d.num_components)]
+    if any(shift % spec.modulus for _, shift in walks):
+        return None
+    return [offsets for offsets, _ in walks]
 
 
 def _require_total(d: Diagram, c: Coloring):
@@ -73,34 +78,27 @@ def _require_total(d: Diagram, c: Coloring):
 
 
 def verify_coloring(d: Diagram, c: Coloring) -> bool:
-    """True when every crossing condition holds mod n: per component, each
-    color is semi-arc 0's color plus the semi-arc's offset, and n divides
-    the shift.  Raises ColoringError if the color map is not total on the
-    diagram's semi-arcs.
-    """
+    """True when every crossing condition holds mod n: the diagram is colorable
+    and each color is semi-arc 0's color plus the semi-arc's offset.  Raises
+    ColoringError if the color map is not total on the diagram's semi-arcs."""
     _require_total(d, c)
-    n = c.spec.modulus
-    for cols, (offsets, shift) in zip(c.colors, _component_offsets(d, c.spec)):
-        if shift % n or any((col - cols[0] - off) % n for col, off in zip(cols, offsets)):
-            return False
-    return True
+    offsets = _component_offsets(d, c.spec)
+    return offsets is not None and not any(
+        (col - cols[0] - off) % c.spec.modulus
+        for cols, offs in zip(c.colors, offsets) for col, off in zip(cols, offs))
 
 
 def solve_colorings(d: Diagram, spec: ColoringSpec) -> list[Coloring]:
     """All colorings, sorted lexicographically by their color tuples.
 
     Per component the base color of semi-arc 0 determines everything by
-    propagation, and the choice is consistent exactly when the modulus
-    divides that component's shift.  The output is the full solution set,
-    empty when some component is inconsistent.  More than 10**6 colorings,
+    propagation: each choice of base colors is a coloring when the diagram
+    is colorable, and there are none otherwise.  More than 10**6 colorings,
     or 10**7 colors (colorings times semi-arcs), raise ColoringError first.
     """
-    n = spec.modulus
-    offsets = []
-    for offs, shift in _component_offsets(d, spec):
-        if shift % n:
-            return []
-        offsets.append(offs)
+    n, offsets = spec.modulus, _component_offsets(d, spec)
+    if offsets is None:
+        return []
     r, arcs = d.num_components, sum(map(len, offsets))
     if _power_within(n, r, min(_COLORING_BUDGET, _COLOR_BUDGET // arcs)) is None:
         raise ColoringError(f"n**{r} colorings of {arcs} semi-arcs exceed the listing budget")
@@ -110,10 +108,10 @@ def solve_colorings(d: Diagram, spec: ColoringSpec) -> list[Coloring]:
 
 
 def count_colorings(d: Diagram, spec: ColoringSpec) -> int:
-    """n**r when every component shift is divisible by n, else 0.  A count
-    of 10**4000 or more raises ColoringError."""
+    """n**r when the diagram is colorable, else 0.  A count of 10**4000 or
+    more raises ColoringError."""
     n, r = spec.modulus, d.num_components
-    if any(shift % n for _, shift in _component_offsets(d, spec)):
+    if _component_offsets(d, spec) is None:
         return 0
     count = _power_within(n, r, _COUNT_BUDGET)
     if count is None:
@@ -122,8 +120,8 @@ def count_colorings(d: Diagram, spec: ColoringSpec) -> int:
 
 
 def is_colorable(d: Diagram, spec: ColoringSpec) -> bool:
-    """True when n divides every component shift."""
-    return not any(shift % spec.modulus for _, shift in _component_offsets(d, spec))
+    """True when n divides every component shift (see _component_offsets)."""
+    return _component_offsets(d, spec) is not None
 
 
 def maxord(d: Diagram) -> int:

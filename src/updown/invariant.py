@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cocycle import CocycleTable, check_shiftable_system, cocycle_violation
-from .coloring import Coloring, ColoringSpec, _require_total, maxord, solve_colorings
-from .diagram import Diagram, _semi_arc_offsets
+from .coloring import Coloring, ColoringSpec, _component_offsets, _require_total, maxord, solve_colorings
+from .diagram import Diagram
 from .errors import UpDownError
 
 CERT_MAXORD = "maxord-difference"
@@ -116,17 +116,17 @@ def phi_multiset(d: Diagram, table: CocycleTable, allow_links: bool = False) -> 
 def phi_shift(d: Diagram, table: CocycleTable) -> int:
     """The common weight sum of a knot diagram under a shiftable cocycle.
 
-    Every coloring of a knot is one color added to the semi-arc offsets,
-    and a shiftable table reads only the difference of its arguments, so
-    one pass over the crossings at color 0 gives every coloring's sum.
+    Every coloring of a knot (whose shift is 0) is one color added to the
+    semi-arc offsets, and a shiftable table reads only the difference of
+    its arguments, so one pass at color 0 gives every coloring's sum.
     """
     if d.num_components != 1:
         raise InvariantError("the scalar weight sum is defined for single-component diagrams")
     if not check_shiftable_system(table):  # a shiftable cocycle passes; report why not
         _require_cocycle(table)
         raise InvariantError("the scalar weight sum needs a shiftable cocycle")
-    offsets, _ = _semi_arc_offsets(d, 0, (1, 1))
-    return _site_total([_weight_site(d, x) for x in d.crossing_ids()], (offsets,), table)
+    offsets = _component_offsets(d, ColoringSpec(table.n))
+    return _site_total([_weight_site(d, x) for x in d.crossing_ids()], offsets, table)
 
 
 def _require_same_components(d1: Diagram, d2: Diagram):
@@ -179,6 +179,7 @@ def rii_report(d1: Diagram, d2: Diagram, table: CocycleTable | None = None) -> R
     Candidates are tried in a fixed order (maxord, non-self count, coloring
     count, weight multiset) and ties keep the earliest, so identical inputs
     give identical reports.  Necessity-only certificates contribute 1.
+    A table that is not an up-down cocycle raises InvariantError, for links too.
     """
     _require_same_components(d1, d2)
     candidates = []
@@ -192,5 +193,7 @@ def rii_report(d1: Diagram, d2: Diagram, table: CocycleTable | None = None) -> R
         m1, m2 = phi_multiset(d1, table), phi_multiset(d2, table)
         if m1 != m2:
             candidates.append(RiiBound(1, CERT_PHI, f"{m1}!={m2}"))
+    elif table is not None:
+        _require_cocycle(table)  # phi_multiset checks a knot's table
     # max keeps the first of equal bounds, so ties go to the earliest candidate
     return max(candidates, key=lambda c: c.bound)

@@ -222,8 +222,7 @@ class _MoveIndex:
             # RI-remove < RII-remove < RIII in the key, so the sort splits by kind
             local.sort(key=_descriptor_key)
         self.local = local
-        n_ri = sum(mv.kind == RI_REMOVE for mv in local)
-        self.ri_removes, self.rest = local[:n_ri], local[n_ri:]
+        self.n_ri_remove = sum(mv.kind == RI_REMOVE for mv in local)
         self.total = self.ri_add + self.rii_add + len(local)
 
     def _arc(self, i: int) -> tuple[int, int]:
@@ -235,15 +234,15 @@ class _MoveIndex:
             arc, var = divmod(idx, 4)
             return MoveDescriptor(RI_ADD, _RI_VARIANTS[var], (self._arc(arc),))
         idx -= self.ri_add
-        if idx < len(self.ri_removes):
-            return self.ri_removes[idx]
-        idx -= len(self.ri_removes)
+        if idx < self.n_ri_remove:
+            return self.local[idx]
+        idx -= self.n_ri_remove
         if idx < self.rii_add:
             pair, var = divmod(idx, 4)
             i, r = divmod(pair, self.starts[-1] - 1)
             j = r if r < i else r + 1
             return MoveDescriptor(RII_ADD, _RII_VARIANTS[var], (self._arc(i), self._arc(j)))
-        return self.rest[idx - self.rii_add]
+        return self.local[self.n_ri_remove + idx - self.rii_add]
 
 
 def _rescan(old: Diagram, new: Diagram, edits, kinds,
@@ -380,6 +379,8 @@ def random_walk(d: Diagram, steps: int, kinds, seed: int
     kinds = frozenset(kinds)
     if not kinds:
         raise MoveError("kinds must be nonempty")
+    if steps < 0:
+        raise MoveError("steps must be >= 0")
     rng = random.Random(seed)
     trajectory = []
     current, local = d, None

@@ -154,6 +154,13 @@ class TestWalk:
         assert lines[0].startswith("step=1 move=RI-add/")
         assert " code=" in lines[0]
 
+    def test_zero_steps_print_nothing(self, capsys):
+        assert run(capsys, "walk", "O1+ U1+", "--steps", "0") == (0, "", "")
+
+    def test_negative_steps_exit_one(self, capsys):
+        code, out, err = run(capsys, "walk", "O1+ U1+", "--steps", "-1")
+        assert (code, out, err) == (1, "", "error: steps must be >= 0\n")
+
     def test_stall_logged(self, capsys):
         code, out, _ = run(capsys, "walk", "()", "--steps", "2", "--seed", "0",
                            "--kinds", "RI-remove")
@@ -290,6 +297,15 @@ class TestInputsAndErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("codes", [("O1+ O2+ ; U1+ U2+", "() ; ()"), ("O1+ U1+", "()")],
+                             ids=["link", "knot"])
+    def test_compare_rejects_non_cocycle(self, capsys, tmp_path, codes):
+        path = tmp_path / "bad.cocycle"
+        path.write_text("n=1 m=2\n0 0 + 1\n0 0 - 0\n")
+        code, out, err = run(capsys, "compare", *codes, "--cocycle", f"@{path}")
+        assert (code, out) == (1, "")
+        assert err == "error: table is not an up-down cocycle: condition=0 witness=a=0,eps=+\n"
 
     def test_compare_component_mismatch(self, capsys):
         code, _, err = run(capsys, "compare", "()", "() ; ()")

@@ -220,8 +220,23 @@ def test_count_matches_enumeration(d, n):
        st.integers(-2, 3), st.integers(-2, 3))
 @settings(max_examples=80, deadline=None)
 def test_generalized_count_matches_enumeration(d, n, pos, neg):
+    # every query reads one colorability test; check each against the others
     spec = ud.ColoringSpec(n, pos, neg)
-    assert ud.count_colorings(d, spec) == len(ud.solve_colorings(d, spec))
+    found = ud.solve_colorings(d, spec)
+    assert ud.count_colorings(d, spec) == len(found)
+    assert ud.is_colorable(d, spec) == bool(found)
+    if n ** len(ud.semi_arcs(d)) <= 10**4:  # the brute force tries every assignment
+        assert len(found) == len(brute_colorings(d, spec))
+    assert all(ud.verify_coloring(d, c) for c in found)
+    if not found:
+        zeros = tuple((0,) * d.arc_count(k) for k in range(d.num_components))
+        assert not ud.verify_coloring(d, ud.Coloring(spec, zeros))
+    # a one-arc component takes any color, so move a later arc of a longer one
+    multi_arc = [k for k in range(d.num_components) if d.arc_count(k) > 1]
+    if found and n > 1 and multi_arc:
+        colors = [list(comp) for comp in found[0].colors]
+        colors[multi_arc[0]][-1] += 1
+        assert not ud.verify_coloring(d, ud.Coloring(spec, tuple(map(tuple, colors))))
 
 
 @given(diagrams(max_crossings=4), st.integers(1, 5), st.integers(0, 4))

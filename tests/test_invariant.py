@@ -312,6 +312,25 @@ class TestReport:
         r = ud.rii_report(ud.parse(DELTA), ud.parse(UNKNOT))
         assert r.bound == 0
 
+    @pytest.mark.parametrize("codes, checks", [
+        (("O1+ O2+ ; U1+ U2+", "() ; ()"), 1),  # a link's table is checked once
+        ((DELTA, UNKNOT), 2)],  # a knot's, once in each multiset
+        ids=["link", "knot"])
+    def test_non_cocycle_rejected(self, monkeypatch, codes, checks):
+        bad = ud.CocycleTable.from_function(1, 2, lambda a, b, s: int(s > 0))
+        calls = []
+        real = ud.invariant.cocycle_violation
+        monkeypatch.setattr(ud.invariant, "cocycle_violation",
+                            lambda t: calls.append(t) or real(t))
+        d1, d2 = map(ud.parse, codes)
+        with pytest.raises(ud.InvariantError) as info:
+            ud.rii_report(d1, d2, bad)
+        assert str(info.value) == "table is not an up-down cocycle: condition=0 witness=a=0,eps=+"
+        assert len(calls) == 1
+        calls.clear()
+        ud.rii_report(d1, d2, F)
+        assert len(calls) == checks
+
 
 class TestOrientationIndependence:
     @pytest.mark.parametrize("code", KNOT_CODES)

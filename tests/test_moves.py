@@ -345,6 +345,10 @@ class TestRandomWalk:
         walk = ud.random_walk(ud.parse("()"), 3, {ud.RI_REMOVE}, seed=0)
         assert walk == [(None, ud.parse("()"))] * 3
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ud.MoveError, match=r"steps must be >= 0"):
+            ud.random_walk(ud.parse(DELTA), -1, RI_KINDS, seed=0)
+
     def test_empty_kinds_rejected(self):
         with pytest.raises(ud.MoveError):
             ud.random_walk(ud.parse("()"), 1, frozenset(), seed=0)
