@@ -95,6 +95,8 @@ def solve_colorings(d: Diagram, spec: ColoringSpec) -> list[Coloring]:
     propagation: each choice of base colors is a coloring when the diagram
     is colorable, and there are none otherwise.  More than 10**6 colorings,
     or 10**7 colors (colorings times semi-arcs), raise ColoringError first.
+    Each component's n color tuples are built once and shared, so past the
+    offset walk it costs n colors per semi-arc and one Coloring per coloring.
     """
     n, offsets = spec.modulus, _component_offsets(d, spec)
     if offsets is None:
@@ -102,9 +104,8 @@ def solve_colorings(d: Diagram, spec: ColoringSpec) -> list[Coloring]:
     r, arcs = d.num_components, sum(map(len, offsets))
     if _power_within(n, r, min(_COLORING_BUDGET, _COLOR_BUDGET // arcs)) is None:
         raise ColoringError(f"n**{r} colorings of {arcs} semi-arcs exceed the listing budget")
-    return [Coloring(spec, tuple(tuple((base + off) % n for off in offs)
-                                 for base, offs in zip(bases, offsets)))
-            for bases in itertools.product(range(n), repeat=r)]
+    rows = [[tuple([(base + off) % n for off in offs]) for base in range(n)] for offs in offsets]
+    return [Coloring(spec, colors) for colors in itertools.product(*rows)]
 
 
 def count_colorings(d: Diagram, spec: ColoringSpec) -> int:

@@ -10,6 +10,7 @@ numeric lower bound for two-component diagrams.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cocycle import CocycleTable, check_shiftable_system, cocycle_violation
@@ -53,19 +54,37 @@ class RiiBound:
         return f"bound={self.bound} certificate={self.certificate} detail={self.detail}"
 
 
-def _weight_site(d: Diagram, crossing: int) -> tuple[int, int, int, int, int]:
-    """(under comp, under arc, over comp, over arc, sign) that crossing_weight reads."""
-    ko, po = d.over_position(crossing)
-    ku, pu = d.under_position(crossing)
-    if d.components[ko][po].sign > 0:
-        return ku, (pu - 1) % len(d.components[ku]), ko, po, 1
-    return ku, pu, ko, (po - 1) % len(d.components[ko]), -1
+def _weight_sites(d: Diagram, overs):
+    """(under comp, under arc, over comp, over arc, sign) that crossing_weight
+    reads at each (crossing, over position) of overs."""
+    comps, under_at = d.components, d._under_at
+    for x, (ko, po) in overs:
+        ku, pu = under_at[x]
+        if comps[ko][po].sign > 0:
+            yield ku, (pu - 1) % len(comps[ku]), ko, po, 1
+        else:
+            yield ku, pu, ko, (po - 1) % len(comps[ko]), -1
 
 
-def _site_total(sites, colors, table: CocycleTable) -> int:
-    value = table.value
-    return sum(value(colors[ku][au], colors[ko][ao], sign)
-               for ku, au, ko, ao, sign in sites) % table.m
+def _weight_sums(d: Diagram, colorings, table: CocycleTable) -> list[int]:
+    """Weight sum mod m of each color map; one is summed crossing by crossing.
+    Several are all of d's colorings, the first with base colors 0, so its
+    colors are offsets mod n and a crossing's class (components, offsets read,
+    sign) fixes its weight.  Each component pair's classes are priced once per
+    base-color pair that occurs; a coloring then costs one lookup per pair."""
+    value, m, sites = table.value, table.m, _weight_sites(d, d._over_at.items())
+    if len(colorings) < 2:
+        return [sum(value(colors[ku][au], colors[ko][ao], s) for ku, au, ko, ao, s in sites) % m
+                for colors in colorings]
+    first, bases = colorings[0], [[cols[0] for cols in colors] for colors in colorings]
+    groups = {}
+    for (ku, u, ko, o, s), count in Counter(
+            (ku, first[ku][au], ko, first[ko][ao], s) for ku, au, ko, ao, s in sites).items():
+        groups.setdefault((ku, ko), []).append((u, o, s, count))
+    priced = [(ku, ko, {(bu, bo): sum(count * value(bu + u, bo + o, s) for u, o, s, count in group)
+                        for bu, bo in {(b[ku], b[ko]) for b in bases}})
+              for (ku, ko), group in groups.items()]
+    return [sum(p[b[ku], b[ko]] for ku, ko, p in priced) % m for b in bases]
 
 
 def _require_coloring(d: Diagram, c: Coloring, table: CocycleTable):
@@ -80,14 +99,14 @@ def crossing_weight(d: Diagram, c: Coloring, crossing: int, table: CocycleTable)
     under color and outgoing over color, negative ones the outgoing under
     color and incoming over color."""
     _require_coloring(d, c, table)
-    ku, au, ko, ao, sign = _weight_site(d, crossing)
+    [(ku, au, ko, ao, sign)] = _weight_sites(d, [(crossing, d.over_position(crossing))])
     return table.value(c.colors[ku][au], c.colors[ko][ao], sign)
 
 
 def weight_sum(d: Diagram, c: Coloring, table: CocycleTable) -> int:
     """Sum of all crossing weights mod m; 0 for crossing-free diagrams."""
     _require_coloring(d, c, table)
-    return _site_total([_weight_site(d, x) for x in d.crossing_ids()], c.colors, table)
+    return _weight_sums(d, [c.colors], table)[0]
 
 
 def _require_cocycle(table: CocycleTable):
@@ -101,16 +120,21 @@ def phi_multiset(d: Diagram, table: CocycleTable, allow_links: bool = False) -> 
 
     Multi-component diagrams are rejected unless allow_links is set; the
     multiset is only proven move-stable for single-component diagrams, so
-    the permissive mode is for exploration only.
+    the permissive mode is for exploration only.  Past solve_colorings it
+    costs one pass over the crossings and one lookup per coloring and
+    component pair; a knot reads n table entries per crossing class.
     """
     if d.num_components != 1 and not allow_links:
         raise InvariantError(
             "weight multisets are defined for single-component diagrams; "
             "pass allow_links=True to compute the unproven multi-component variant")
     _require_cocycle(table)
-    sites = [_weight_site(d, x) for x in d.crossing_ids()]
-    return WeightMultiset.of(_site_total(sites, c.colors, table)
-                             for c in solve_colorings(d, ColoringSpec(table.n)))
+    return _multiset(d, table)
+
+
+def _multiset(d: Diagram, table: CocycleTable) -> WeightMultiset:
+    colorings = [c.colors for c in solve_colorings(d, ColoringSpec(table.n))]
+    return WeightMultiset.of(_weight_sums(d, colorings, table))
 
 
 def phi_shift(d: Diagram, table: CocycleTable) -> int:
@@ -118,7 +142,8 @@ def phi_shift(d: Diagram, table: CocycleTable) -> int:
 
     Every coloring of a knot (whose shift is 0) is one color added to the
     semi-arc offsets, and a shiftable table reads only the difference of
-    its arguments, so one pass at color 0 gives every coloring's sum.
+    its arguments, so one pass at color 0, one table read per crossing,
+    gives every coloring's sum.
     """
     if d.num_components != 1:
         raise InvariantError("the scalar weight sum is defined for single-component diagrams")
@@ -126,7 +151,7 @@ def phi_shift(d: Diagram, table: CocycleTable) -> int:
         _require_cocycle(table)
         raise InvariantError("the scalar weight sum needs a shiftable cocycle")
     offsets = _component_offsets(d, ColoringSpec(table.n))
-    return _site_total([_weight_site(d, x) for x in d.crossing_ids()], offsets, table)
+    return _weight_sums(d, [offsets], table)[0]
 
 
 def _require_same_components(d1: Diagram, d2: Diagram):
@@ -140,7 +165,10 @@ def rii_bound_maxord(d1: Diagram, d2: Diagram) -> RiiBound:
     """Half the maxord difference, for two-component diagrams."""
     if d1.num_components != 2 or d2.num_components != 2:
         raise InvariantError("the maxord bound applies to two-component diagrams")
-    g1, g2 = maxord(d1), maxord(d2)
+    return _maxord_bound(maxord(d1), maxord(d2))
+
+
+def _maxord_bound(g1: int, g2: int) -> RiiBound:
     return RiiBound((abs(g1 - g2) + 1) // 2, CERT_MAXORD, f"|{g1}-{g2}|/2")
 
 
@@ -152,7 +180,10 @@ def rii_necessity_colcount(d1: Diagram, d2: Diagram) -> int | None:
     g1 != g2 and the least one divides exactly one of them.
     """
     _require_same_components(d1, d2)
-    g1, g2 = maxord(d1), maxord(d2)
+    return _colcount_witness(maxord(d1), maxord(d2))
+
+
+def _colcount_witness(g1: int, g2: int) -> int | None:
     if g1 == g2:
         return None
     for n in range(1, max(g1, g2) + 2):
@@ -182,18 +213,19 @@ def rii_report(d1: Diagram, d2: Diagram, table: CocycleTable | None = None) -> R
     A table that is not an up-down cocycle raises InvariantError, for links too.
     """
     _require_same_components(d1, d2)
+    g1, g2 = maxord(d1), maxord(d2)
     candidates = []
     if d1.num_components == 2:
-        candidates.append(rii_bound_maxord(d1, d2))
+        candidates.append(_maxord_bound(g1, g2))
     candidates.append(rii_bound_nonself(d1, d2))
-    witness = rii_necessity_colcount(d1, d2)
+    witness = _colcount_witness(g1, g2)
     if witness is not None:
         candidates.append(RiiBound(1, CERT_COLCOUNT, f"n={witness}"))
-    if table is not None and d1.num_components == 1:
-        m1, m2 = phi_multiset(d1, table), phi_multiset(d2, table)
-        if m1 != m2:
-            candidates.append(RiiBound(1, CERT_PHI, f"{m1}!={m2}"))
-    elif table is not None:
-        _require_cocycle(table)  # phi_multiset checks a knot's table
+    if table is not None:
+        _require_cocycle(table)
+        if d1.num_components == 1:
+            m1, m2 = _multiset(d1, table), _multiset(d2, table)
+            if m1 != m2:
+                candidates.append(RiiBound(1, CERT_PHI, f"{m1}!={m2}"))
     # max keeps the first of equal bounds, so ties go to the earliest candidate
     return max(candidates, key=lambda c: c.bound)

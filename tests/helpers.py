@@ -71,6 +71,30 @@ def random_knot_code(rng: random.Random, max_crossings: int = 12) -> str:
     return " ".join(passes)
 
 
+def random_link_code(rng: random.Random, components: int, crossings: int, n: int) -> str:
+    """Seeded code of at least `crossings` crossings, every pass at a random
+    position: self-crossings, non-self crossings in pairs that swap over and
+    under, and now and then n crossings with one component over another.
+    Every component shift is a multiple of n, so all n**components
+    colorings mod n exist."""
+    comps = [[] for _ in range(components)]
+    x = 0
+    while x < crossings:
+        j, k = rng.randrange(components), rng.randrange(components)
+        if j == k:
+            blocks = [(j, k)]
+        elif rng.random() < 0.1:
+            blocks = [(j, k)] * n
+        else:
+            blocks = [(j, k), (k, j)]
+        for over, under in blocks:
+            x += 1
+            sign = rng.choice("+-")
+            for comp, role in ((over, "O"), (under, "U")):
+                comps[comp].insert(rng.randint(0, len(comps[comp])), f"{role}{x}{sign}")
+    return " ; ".join(" ".join(comp) or "()" for comp in comps)
+
+
 def riii_strands(row) -> tuple[list, list, list]:
     """The T, M and B pass pairs of a triple-slide configuration key
     (T first, M first, B first, sign TM, TB, MB); crossings TM=1, TB=2,

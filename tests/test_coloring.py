@@ -225,6 +225,8 @@ def test_generalized_count_matches_enumeration(d, n, pos, neg):
     found = ud.solve_colorings(d, spec)
     assert ud.count_colorings(d, spec) == len(found)
     assert ud.is_colorable(d, spec) == bool(found)
+    colors = [c.colors for c in found]  # sorted and distinct on links and weighted specs too
+    assert colors == sorted(set(colors))
     if n ** len(ud.semi_arcs(d)) <= 10**4:  # the brute force tries every assignment
         assert len(found) == len(brute_colorings(d, spec))
     assert all(ud.verify_coloring(d, c) for c in found)

@@ -16,6 +16,7 @@ from helpers import (
     brute_colorings,
     brute_phi,
     brute_weight_sum,
+    random_link_code,
     tangle,
 )
 
@@ -36,6 +37,39 @@ LINK_CODES = [
     "O1+ O2+ U2+ U3- ; U1+ O3-",
     "O1+ U2- ; O2- U3+ ; O3+ U1+",
 ]
+
+
+# the example tables, a non-shiftable cocycle and two shiftable ones at larger n
+KERNEL_TABLES = {"f": F, "g": G, "nonshift": NONSHIFT,
+                 "6-3": ud.enumerate_shiftable(6, 3)[-1], "8-2": ud.enumerate_shiftable(8, 2)[-1]}
+
+
+def as_arc_map(c):
+    return {ud.SemiArcId(k, p): v for k, comp in enumerate(c.colors) for p, v in enumerate(comp)}
+
+
+def crossing_classes(d, base):
+    """Distinct (under comp, under color, over comp, over color, sign) under
+    a coloring, read at the arcs brute_weight_sum reads, found by scanning
+    the pass sequences."""
+    at = {(pas.crossing, pas.role): (k, p)
+          for k, comp in enumerate(d.components) for p, pas in enumerate(comp)}
+    classes = set()
+    for x in d.crossing_ids():
+        (ko, po), (ku, pu), s = at[x, ud.OVER], at[x, ud.UNDER], d.crossing_sign(x)
+        if s > 0:
+            pu -= 1
+        else:
+            po -= 1
+        classes.add((ku, base.colors[ku][pu], ko, base.colors[ko][po], s))
+    return classes
+
+
+def count_reads(monkeypatch) -> list:
+    reads, real = [], ud.CocycleTable.value
+    monkeypatch.setattr(ud.CocycleTable, "value",
+                        lambda t, a, b, s: reads.append((a, b, s)) or real(t, a, b, s))
+    return reads
 
 
 def base_coloring(code, n=4):
@@ -139,6 +173,35 @@ class TestPhiMultiset:
 
     def test_multiset_formatting(self):
         assert str(ud.phi_multiset(ud.parse(DELTA), F)) == "{1,1,1,1}"
+
+    # seeded 2- and 3-component links of 20-60 crossings and knots of 100+,
+    # where crossings share classes and links mix base colors
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", KERNEL_TABLES)
+    def test_matches_per_coloring_sums(self, seed, name):
+        table = KERNEL_TABLES[name]
+        rng = random.Random(f"kernel:{name}:{seed}")
+        for components, low, high in ((2, 20, 60), (3, 20, 60), (1, 100, 160)):
+            d = ud.parse(random_link_code(rng, components, rng.randint(low, high), table.n))
+            found = ud.solve_colorings(d, ud.ColoringSpec(table.n))
+            assert len(found) == table.n ** components
+            expected = sorted(brute_weight_sum(d, as_arc_map(c), table) for c in found)
+            assert ud.phi_multiset(d, table, allow_links=True).elements == tuple(expected)
+
+    def test_knot_table_reads_bounded(self, monkeypatch):
+        # a knot reads n entries per crossing class, never a full n x n grid
+        d = ud.parse(random_link_code(random.Random(7), 1, 200, 64))
+        table, reads = ud.CocycleTable.zero(64, 2), count_reads(monkeypatch)
+        assert ud.phi_multiset(d, table).elements == (0,) * 64
+        first = ud.solve_colorings(d, ud.ColoringSpec(64))[0]
+        assert 0 < len(reads) <= 64 * len(crossing_classes(d, first)) <= 64 * d.num_crossings
+
+    def test_link_table_reads_below_per_coloring(self, monkeypatch):
+        d = ud.parse(random_link_code(random.Random(8), 3, 40, 8))
+        table = ud.enumerate_shiftable(8, 2)[-1]
+        reads = count_reads(monkeypatch)
+        assert len(ud.phi_multiset(d, table, allow_links=True).elements) == 512
+        assert 0 < len(reads) < 512 * d.num_crossings
 
 
 class TestPhiShift:
@@ -308,15 +371,21 @@ class TestReport:
         with pytest.raises(ud.InvariantError):
             ud.rii_report(ud.parse(DELTA), ud.parse(tangle(1)))
 
+    def test_maxord_once_per_diagram(self, monkeypatch):
+        calls = []
+        real = ud.invariant.maxord
+        monkeypatch.setattr(ud.invariant, "maxord", lambda d: calls.append(d) or real(d))
+        d1, d2 = ud.parse("O1+ O2+ ; U1+ U2+"), ud.parse("() ; ()")
+        assert str(ud.rii_report(d1, d2)) == "bound=1 certificate=maxord-difference detail=|2-0|/2"
+        assert calls == [d1, d2]
+
     def test_knots_without_cocycle(self):
         r = ud.rii_report(ud.parse(DELTA), ud.parse(UNKNOT))
         assert r.bound == 0
 
-    @pytest.mark.parametrize("codes, checks", [
-        (("O1+ O2+ ; U1+ U2+", "() ; ()"), 1),  # a link's table is checked once
-        ((DELTA, UNKNOT), 2)],  # a knot's, once in each multiset
-        ids=["link", "knot"])
-    def test_non_cocycle_rejected(self, monkeypatch, codes, checks):
+    @pytest.mark.parametrize("codes", [("O1+ O2+ ; U1+ U2+", "() ; ()"), (DELTA, UNKNOT)],
+                             ids=["link", "knot"])
+    def test_non_cocycle_rejected(self, monkeypatch, codes):
         bad = ud.CocycleTable.from_function(1, 2, lambda a, b, s: int(s > 0))
         calls = []
         real = ud.invariant.cocycle_violation
@@ -329,7 +398,7 @@ class TestReport:
         assert len(calls) == 1
         calls.clear()
         ud.rii_report(d1, d2, F)
-        assert len(calls) == checks
+        assert len(calls) == 1  # once per report, not once per multiset
 
 
 class TestOrientationIndependence:
