@@ -36,6 +36,9 @@ _TOKEN_RE = re.compile(r"\S+")
 # each match is one whole whitespace-delimited token of a well-formed code: a pass
 # whose id is in 1..10**4000 - 1 (groups role, id, sign), ';' or '()'
 _CODE_TOKEN_RE = re.compile(r"(?<!\S)(?:([OU])(0*[1-9][0-9]{0,3999})([+-])|(;)|(\(\)))(?!\S)")
+# _POSITIONS[k][p] is the (k, p) every map shares, so indexing allocates no tuple; a row
+# grows by replacement, never in place, so a racing reader still holds a valid row
+_POSITIONS: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
 class ParseError(UpDownError):
@@ -59,6 +62,18 @@ class Pass:
     sign: int  # +1 or -1
 
 
+_SET_CROSSING, _SET_ROLE, _SET_SIGN = Pass.crossing.__set__, Pass.role.__set__, Pass.sign.__set__
+
+
+def _pass(crossing: int, role: str, sign: int) -> Pass:
+    """Pass(crossing, role, sign) at half the cost, its slots set directly."""
+    pas = object.__new__(Pass)
+    _SET_CROSSING(pas, crossing)
+    _SET_ROLE(pas, role)
+    _SET_SIGN(pas, sign)
+    return pas
+
+
 @dataclass(frozen=True, order=True)
 class SemiArcId:
     component: int
@@ -68,7 +83,10 @@ class SemiArcId:
 def _index(maps, components, k: int, start: int, checked: bool):
     """Map component k's passes, from start on, into maps; checked also validates them."""
     over_at, under_at = maps
-    for p, pas in enumerate(components[k][start:], start):
+    comp, row = components[k], _POSITIONS.get(k, ())
+    if len(row) < len(comp):
+        _POSITIONS[k] = row = row + tuple((k, p) for p in range(len(row), len(comp) * 9 // 8))
+    for pas, at_p in zip(comp[start:], row[start:]):
         x, role = pas.crossing, pas.role
         at = over_at if role == OVER else under_at
         if checked:
@@ -84,7 +102,7 @@ def _index(maps, components, k: int, start: int, checked: bool):
             partner = (under_at if at is over_at else over_at).get(x)
             if partner and components[partner[0]][partner[1]].sign != pas.sign:
                 raise ValidationError(f"crossing {x} has mismatched signs")
-        at[x] = (k, p)
+        at[x] = at_p
 
 
 @dataclass(frozen=True)
@@ -94,10 +112,10 @@ class Diagram:
     Every crossing id must occur exactly twice, once over and once under,
     with the same sign on both passes, which is read from the over pass.
     The constructor stores the components as tuples, validates them and
-    maps each crossing to its two pass positions; a move result is valid by
-    construction and applies its slice edits to its parent's maps
-    (_rewritten).  Instances are immutable and safe to share; all
-    operations on them are pure functions.
+    maps each crossing to its two pass positions.  A move result is valid
+    by construction and skips all that (_rewritten): it costs its spliced
+    slices and builds its maps when first read.  Instances are immutable
+    and safe to share; all operations on them are pure functions.
     """
 
     components: tuple[tuple[Pass, ...], ...]
@@ -116,23 +134,42 @@ class Diagram:
             raise ValidationError(f"crossing {x} has no {side} pass")
         vars(self).update(_over_at=over_at, _under_at=under_at)
 
+    def __getattr__(self, name):
+        """A rewrite result's maps, built on first read: its parent's less the
+        passes its edits replaced, with each edited component re-indexed from
+        its first edit, or, if the parent had none, every component from 0."""
+        if name not in ("_over_at", "_under_at"):
+            raise AttributeError(f"'Diagram' object has no attribute {name!r}")
+        (over_at, under_at), components, edits = vars(self).get("_parent") or (
+            ({}, {}), self.components, [(k, 0, 0, ()) for k in range(len(self.components))])
+        maps = over_at, under_at = over_at.copy(), under_at.copy()
+        for k, start, stop, _ in edits:
+            for pas in components[k][start:stop]:
+                del (over_at if pas.role == OVER else under_at)[pas.crossing]
+        for k, start in {k: start for k, start, _, _ in reversed(edits)}.items():
+            _index(maps, self.components, k, start, checked=False)
+        for key, built in zip(("_over_at", "_under_at"), maps):
+            vars(self).setdefault(key, built)  # racing readers built equal maps; the first stays
+        vars(self).pop("_parent", None)  # frees the parent's maps; a later racer builds anew
+        return vars(self)[name]
+
     def _rewritten(self, edits) -> Diagram:
         """A rewrite's result, unvalidated: the sorted slice edits (k, start,
-        stop, passes) of moves._edits applied from the last one back, this
-        diagram's two maps less the replaced passes, and each edited
-        component re-indexed from its first edit on."""
-        components = list(self.components)
-        maps = over_at, under_at = self._over_at.copy(), self._under_at.copy()
+        stop, passes) of moves._edits applied from the last one back, with
+        this diagram's max crossing id when known; __getattr__ builds its maps
+        on first read from this diagram's maps and components and the edits."""
+        components, top = list(self.components), vars(self).get("_max_id")
         for k, start, stop, passes in reversed(edits):
             comp = components[k]
-            for pas in comp[start:stop]:
-                del (over_at if pas.role == OVER else under_at)[pas.crossing]
+            if passes:  # at most two; an add's fresh ids top the parent's, a swap keeps its ids
+                top = top if top is None else max(top, passes[0].crossing, passes[-1].crossing)
+            elif top in (pas.crossing for pas in comp[start:stop]):  # a removal took the max
+                top = None
             components[k] = comp[:start] + passes + comp[stop:]
-        components = tuple(components)
-        for k, start in {k: start for k, start, _, _ in reversed(edits)}.items():
-            _index(maps, components, k, start, checked=False)
         new = object.__new__(Diagram)
-        vars(new).update(components=components, _over_at=over_at, _under_at=under_at)
+        vars(new).update(components=tuple(components), _max_id=top)
+        if "_over_at" in vars(self):
+            vars(new)["_parent"] = (self._over_at, self._under_at), self.components, edits
         return new
 
     # -- basic queries ----------------------------------------------------
@@ -143,7 +180,7 @@ class Diagram:
 
     @property
     def num_crossings(self) -> int:
-        return len(self._over_at)
+        return sum(map(len, self.components)) // 2
 
     def arc_count(self, component: int) -> int:
         return max(1, len(self.components[component]))
@@ -174,7 +211,7 @@ class Diagram:
         return sum(self._under_at[x][0] != k for x, (k, _) in self._over_at.items())
 
     def max_crossing_id(self) -> int:
-        if "_max_id" not in vars(self):  # computed once per diagram, on first use
+        if vars(self).get("_max_id") is None:  # computed once per diagram, on first use
             vars(self)["_max_id"] = max(self._over_at, default=0)
         return self._max_id
 
@@ -194,7 +231,7 @@ def parse(text: str) -> Diagram:
     try:
         for role, digits, sign, semi, loop in tokens:
             if role:
-                passes.append(Pass(int(digits), role, 1 if sign == "+" else -1))
+                passes.append(_pass(int(digits), role, 1 if sign == "+" else -1))
             elif loop:
                 loops += 1
             elif bool(passes) + loops == 1:
@@ -310,7 +347,7 @@ def connected_sum(d1: Diagram, d2: Diagram, s1: SemiArcId, s2: SemiArcId) -> Dia
             raise ValidationError(f"semi-arc {s} does not exist in its diagram")
     offset = d1.max_crossing_id()
     seq1 = d1.components[0]
-    seq2 = tuple(Pass(p.crossing + offset, p.role, p.sign) for p in d2.components[0])
+    seq2 = tuple(_pass(p.crossing + offset, p.role, p.sign) for p in d2.components[0])
     cut = (s2.position + 1) % max(1, len(seq2))
     return Diagram((seq1[:s1.position + 1] + seq2[cut:] + seq2[:cut] + seq1[s1.position + 1:],))
 

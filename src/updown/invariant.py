@@ -194,7 +194,8 @@ def _colcount_witness(g1: int, g2: int) -> int | None:
 
 def rii_necessity_phi(d1: Diagram, d2: Diagram, table: CocycleTable) -> bool:
     """True when the weight multisets differ, certifying one RII move."""
-    return phi_multiset(d1, table) != phi_multiset(d2, table)
+    m1 = phi_multiset(d1, table)  # checks d1, then the table; phi_multiset rejects a linked d2
+    return m1 != (_multiset(d2, table) if d2.num_components == 1 else phi_multiset(d2, table))
 
 
 def rii_bound_nonself(d1: Diagram, d2: Diagram) -> RiiBound:

@@ -41,7 +41,7 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple
 
-from .diagram import _ID_LIMIT, OVER, UNDER, Diagram, Pass
+from .diagram import _ID_LIMIT, OVER, UNDER, Diagram, Pass, _pass
 from .errors import UpDownError
 
 RI_ADD = "RI-add"
@@ -252,7 +252,9 @@ def _rescan(old: Diagram, new: Diagram, edits, kinds,
 
     A local descriptor's legality depends only on the passes of its pairs
     and on their adjacency.  A cached descriptor survives, at its passes'
-    new positions, when each of its pairs is still adjacent.  A pair that
+    new positions, when each of its pairs still holds the same two Pass
+    objects: a rewrite keeps its parent's, and no step both removes and
+    re-adds an id, so identity decides what equality would.  A pair that
     became adjacent has both passes on touched crossings: an edit's new
     passes and its old passes at start-1..stop (for an add, the two either
     side of its cut, whose pair alone it breaks).  Each pair of a site holds
@@ -277,7 +279,7 @@ def _rescan(old: Diagram, new: Diagram, edits, kinds,
             comp, now = old.components[k], new.components[k]
             a = comp[p]
             at = (new._over_at if a.role == OVER else new._under_at).get(a.crossing)
-            if at is None or now[(at[1] + 1) % len(now)] != comp[(p + 1) % len(comp)]:
+            if at is None or now[(at[1] + 1) % len(now)] is not comp[(p + 1) % len(comp)]:
                 break
             sites.append(at)
         else:
@@ -324,15 +326,18 @@ def _edits(d: Diagram, mv: MoveDescriptor) -> list[tuple[int, int, int, tuple[Pa
         arcs = _ADD_LAYOUTS[mv.kind].get(mv.variant) if isinstance(mv.variant, str) else None
         _require(arcs is not None, "bad %s variant %r", mv.kind, mv.variant)
         _require(len(mv.sites) == len(arcs), "wrong number of sites for this add move")
-        sites = [_site(d, site, arc=True) for site in mv.sites]
-        _require(len(set(sites)) == len(sites), "the sites must be distinct arcs")
+        for k, p in mv.sites:  # _site raises the first failing check's error
+            if not (0 <= k < len(d.components) and 0 <= p < (len(d.components[k]) or 1)):
+                _site(d, (k, p), arc=True)
+        _require(len(arcs) == 1 or tuple(mv.sites[0]) != tuple(mv.sites[1]),
+                 "the sites must be distinct arcs")
         fresh = d.max_crossing_id() + 1
         _require(fresh + _FRESH_IDS[mv.kind] <= _ID_LIMIT, "too few fresh crossing ids below 10**4000")
         # insert on arc p means between pass p and pass p+1, and an empty
         # component takes the insertion as its whole sequence
-        for (k, p), ((o1, r1, s1), (o2, r2, s2)) in zip(sites, arcs):
+        for (k, p), ((o1, r1, s1), (o2, r2, s2)) in zip(mv.sites, arcs):
             cut = p + 1 if d.components[k] else 0
-            edits.append((k, cut, cut, (Pass(fresh + o1, r1, s1), Pass(fresh + o2, r2, s2))))
+            edits.append((k, cut, cut, (_pass(fresh + o1, r1, s1), _pass(fresh + o2, r2, s2))))
     elif mv.kind in _LOCAL_KINDS:
         _require(bool(mv.sites), "%s has no sites", mv.kind)
         k, p = _site(d, mv.sites[0], arc=False)
@@ -362,7 +367,8 @@ def apply_move(d: Diagram, mv: MoveDescriptor) -> Diagram:
     enumerates moves lists it from the descriptor's first site; no other
     position is scanned.  A legal move's slice edits (_edits) keep one over
     and one under pass of one sign per crossing, so the result skips
-    Diagram's validation.
+    Diagram's validation: it costs the check and the splice, and builds
+    its maps when first read.
     """
     return d._rewritten(_edits(d, mv))
 
@@ -393,6 +399,7 @@ def random_walk(d: Diagram, steps: int, kinds, seed: int
         mv = index.descriptor(rng.randrange(index.total))
         edits = _edits(current, mv)
         new = current._rewritten(edits)
+        new.__getattr__("_over_at")  # every step's maps are read: build them at once
         current, local = new, _rescan(current, new, edits, kinds, local)
         trajectory.append((mv, current))
     return trajectory

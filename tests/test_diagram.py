@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import updown as ud
+from updown.moves import _edits
 from helpers import (DELTA, KINK, KNOT_CODES, reference_parse, reference_validation_error,
                      tangle)
 
@@ -144,6 +145,31 @@ class TestPass:
         with pytest.raises(dataclasses.FrozenInstanceError):
             pas.sign = 1
         assert not hasattr(pas, "__dict__")
+
+    def test_private_constructor_matches(self):
+        # parse, connected_sum and the move edits build passes without
+        # Pass.__init__; nothing may tell them apart from Pass(...)
+        d = ud.parse("O1+ U2- O3+ U1+ O2- U3+")
+        summed = ud.connected_sum(d, ud.parse(DELTA), ud.SemiArcId(0, 1), ud.SemiArcId(0, 2))
+        added = [pas for kind, variant, sites in ((ud.RI_ADD, "UO-", ((0, 3),)),
+                                                  (ud.RII_ADD, "antiparallel+", ((0, 1), (0, 4))))
+                 for _, _, _, passes in _edits(d, ud.MoveDescriptor(kind, variant, sites))
+                 for pas in passes]
+        built = list(d.components[0]) + list(summed.components[0]) + added
+        assert len(added) == 6
+        for pas in built:
+            twin = ud.Pass(pas.crossing, pas.role, pas.sign)
+            assert type(pas) is ud.Pass
+            assert pas == twin and hash(pas) == hash(twin) and repr(pas) == repr(twin)
+            assert pas != (pas.crossing, pas.role, pas.sign)
+            assert pas != ud.Pass(pas.crossing, pas.role, -pas.sign)
+            assert not hasattr(pas, "__dict__")
+            assert dataclasses.astuple(pas) == dataclasses.astuple(twin)
+            assert pickle.loads(pickle.dumps(pas)) == twin and copy.copy(pas) == twin
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                pas.crossing = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del pas.role
 
 
 class TestParse:

@@ -332,6 +332,27 @@ class TestPhiNecessity:
                                   ud.SemiArcId(0, 2), ud.SemiArcId(0, 0))
         assert ud.rii_necessity_phi(d, summed, F)
 
+    def test_table_checked_once(self, monkeypatch):
+        calls = []
+        real = ud.invariant.cocycle_violation
+        monkeypatch.setattr(ud.invariant, "cocycle_violation",
+                            lambda t: calls.append(t) or real(t))
+        assert ud.rii_necessity_phi(ud.parse(DELTA), ud.parse(UNKNOT), F)
+        assert calls == [F]
+
+    def test_error_order(self):
+        # d1's component count, then the table, then d2's component count
+        bad = ud.CocycleTable.from_function(1, 2, lambda a, b, s: int(s > 0))
+        knot, link = ud.parse(DELTA), ud.parse(tangle(1))
+        for d1, d2, table, message in [
+            (link, link, bad, "single-component"),
+            (link, knot, F, "single-component"),
+            (knot, link, bad, "not an up-down cocycle"),
+            (knot, link, F, "single-component"),
+        ]:
+            with pytest.raises(ud.InvariantError, match=message):
+                ud.rii_necessity_phi(d1, d2, table)
+
 
 class TestNonselfBound:
     @pytest.mark.parametrize("i,j", [(0, 1), (2, 5), (4, 4)])

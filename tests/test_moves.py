@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ from helpers import (
     brute_local_moves,
     planted_code,
     random_knot_code,
+    random_link_code,
     riii_strands,
     tangle,
 )
@@ -52,11 +56,13 @@ def realize_riii_row(row):
 
 
 def assert_indexed(out):
-    """A move result's maps, derived from its parent's, equal the ones the
-    validating constructor builds from its components."""
+    """A move result's maps, built on first read or derived from its
+    parent's, its carried max crossing id and its crossing count equal what
+    the validating constructor builds from its components."""
     full = ud.Diagram(out.components)
-    assert ((out._over_at, out._under_at)
-            == (full._over_at, full._under_at)), ud.serialize(out)
+    assert ((out._over_at, out._under_at, out.max_crossing_id(), out.num_crossings)
+            == (full._over_at, full._under_at, full.max_crossing_id(), len(full._over_at))
+            ), ud.serialize(out)
 
 
 def assert_matches_oracle(d):
@@ -173,9 +179,10 @@ class TestPokeMoves:
         assert ud.component_shift(grown, 0) == 0
 
     def test_same_arc_rejected(self):
-        with pytest.raises(ud.MoveError):
-            ud.apply_move(ud.parse(DELTA),
-                          ud.MoveDescriptor(ud.RII_ADD, "parallel+", ((0, 1), (0, 1))))
+        # a site given as a list names the same arc as the tuple
+        for sites in (((0, 1), (0, 1)), ([0, 1], (0, 1))):
+            with pytest.raises(ud.MoveError, match="distinct"):
+                ud.apply_move(ud.parse(DELTA), ud.MoveDescriptor(ud.RII_ADD, "parallel+", sites))
 
     def test_maxord_steps_by_at_most_two(self):
         for code in [tangle(0), tangle(1), tangle(3), F6, "O1+ ; U1+"]:
@@ -534,6 +541,80 @@ class TestResultMaps:
         last = walk[-1][1]
         assert ud.Diagram(last.components) == last
         assert len(validated) == 2
+
+
+class TestLazyMaps:
+    """A move result builds its maps when first read, random_walk derives
+    each step's from the last step's, and both equal the validated maps."""
+
+    @pytest.mark.parametrize("components,crossings", [(1, 256), (1, 1024), (3, 96)])
+    @pytest.mark.parametrize("kinds", [ALL_KINDS, frozenset(LOCAL_KINDS) | {ud.RI_ADD}],
+                             ids=["all", "local,RI-add"])
+    def test_every_walk_step(self, components, crossings, kinds):
+        # crossings at random positions; the walks' own kinks and pokes give the removals
+        d = ud.parse(random_link_code(random.Random(crossings), components, crossings, 2))
+        assert d.num_crossings >= crossings
+        for mv, step in ud.random_walk(d, 40, kinds, seed=crossings):
+            assert vars(step).keys() >= {"_over_at", "_under_at"}  # derived, not lazy
+            assert_indexed(step)
+
+    def test_every_sweep_result(self):
+        d = ud.parse(random_link_code(random.Random(2), 2, 8, 2))
+        listed = ud.enumerate_moves(d, ALL_KINDS)
+        assert len(listed) > 1000
+        for mv in listed:
+            out = ud.apply_move(d, mv)
+            assert "_over_at" not in vars(out) and "_under_at" not in vars(out)
+            change = {ud.RI_ADD: 1, ud.RI_REMOVE: -1, ud.RII_ADD: 2, ud.RII_REMOVE: -2, ud.RIII: 0}
+            assert out.num_crossings == d.num_crossings + change[mv.kind]
+            assert_indexed(out)
+
+    def test_long_unread_chain(self):
+        # each add reads only its parent's components and carried max id, so
+        # no map is built until the end, and no result holds its parent; the
+        # adds spread over 64 components to keep each splice short
+        current, refs = ud.parse(" ; ".join(["()"] * 64)), []
+        for i in range(10**4):
+            k, j = i % 64, (i + 1) % 64
+            if i % 3 == 2:
+                mv = ud.MoveDescriptor(ud.RII_ADD, _RII_VARIANTS[i % 4], ((k, 0), (j, 0)))
+            else:
+                mv = ud.MoveDescriptor(ud.RI_ADD, _RI_VARIANTS[i % 4], ((k, 0),))
+            if i:
+                assert "_over_at" not in vars(current)
+                assert vars(current)["_max_id"] == current.num_crossings
+            if i % 1000 == 1:
+                refs.append(weakref.ref(current))
+            current = ud.apply_move(current, mv)
+        assert all(ref() is None for ref in refs)
+        assert current.max_crossing_id() == current.num_crossings > 10**4
+        assert_indexed(current)
+
+    def test_threads_read_one_result(self):
+        d = ud.parse(random_link_code(random.Random(3), 1, 1024, 2))
+        mv = ud.enumerate_moves(d, {ud.RI_ADD})[-1]
+        full = ud.Diagram(ud.apply_move(d, mv).components)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often inside the build
+        try:
+            for _ in range(5):
+                out, start, seen = ud.apply_move(d, mv), threading.Barrier(4), []
+
+                def read():
+                    start.wait(timeout=60)
+                    seen.append((out._under_at, out._over_at))
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert len(seen) == 4
+                assert all(a is b for maps in seen for a, b in zip(maps, seen[0]))
+                assert seen[0] == (full._under_at, full._over_at)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 RI_KINDS_AND_SLIDES = frozenset({ud.RI_ADD, ud.RI_REMOVE, ud.RIII})
