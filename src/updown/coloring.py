@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .diagram import _ID_LIMIT, Diagram, SemiArcId, _semi_arc_offsets, component_shift
+from .diagram import _ID_LIMIT, OVER, Diagram, SemiArcId, _semi_arc_offsets
 from .errors import UpDownError
 
 
@@ -129,13 +129,10 @@ def maxord(d: Diagram) -> int:
     """Greatest common divisor of the absolute component shifts.
 
     This is the largest n for which the diagram is colorable with unit
-    shifts, with 0 meaning every n works.  For two-component diagrams it is
-    the |over - under| count of either component.
+    shifts, with 0 meaning every n works.  Each shift is counted as over
+    passes less under passes; for two components, either one's |over - under|.
     """
-    g = 0
-    for k in range(d.num_components):
-        g = math.gcd(g, abs(component_shift(d, k)))
-    return g
+    return math.gcd(*(2 * [pas.role for pas in comp].count(OVER) - len(comp) for comp in d.components))
 
 
 def shift_coloring(c: Coloring, i: int) -> Coloring:

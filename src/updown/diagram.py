@@ -33,12 +33,14 @@ _PASS_RE = re.compile(r"([OU])([0-9]+)([+-])\Z")
 # ids below this stay within str()'s 4300-digit limit; moves add no id at or past it
 _ID_LIMIT = 10**4000
 _TOKEN_RE = re.compile(r"\S+")
-# each match is one whole whitespace-delimited token of a well-formed code: a pass
-# whose id is in 1..10**4000 - 1 (groups role, id, sign), ';' or '()'
-_CODE_TOKEN_RE = re.compile(r"(?<!\S)(?:([OU])(0*[1-9][0-9]{0,3999})([+-])|(;)|(\(\)))(?!\S)")
+_PASS_TOKEN = r"[OU]0*[1-9][0-9]{0,3999}[+-]"  # an id in 1..10**4000 - 1, zero padding aside
+_COMPONENT = rf"(?:\(\)|{_PASS_TOKEN}(?:\s+{_PASS_TOKEN})*)"  # \s: the whitespace of str.split
+_CODE_RE = re.compile(rf"\s*{_COMPONENT}(?:\s+;\s+{_COMPONENT})*\s*")
 # _POSITIONS[k][p] is the (k, p) every map shares, so indexing allocates no tuple; a row
 # grows by replacement, never in place, so a racing reader still holds a valid row
 _POSITIONS: dict[int, tuple[tuple[int, int], ...]] = {}
+_TOKEN_PASSES: dict[str, Pass] = {}  # parse's shared Pass per token of up to 8 chars (ids < 10**6)
+_TOKEN_PASSES_CAP = 2**14  # 2.6 MiB when full; racing parsers may each add one past it
 
 
 class ParseError(UpDownError):
@@ -55,7 +57,7 @@ class ValidationError(UpDownError):
 
 @dataclass(frozen=True, slots=True)
 class Pass:
-    """One strand's traversal of a real crossing."""
+    """One strand's traversal of a real crossing; immutable, so parse shares it."""
 
     crossing: int
     role: str  # OVER or UNDER
@@ -74,22 +76,39 @@ def _pass(crossing: int, role: str, sign: int) -> Pass:
     return pas
 
 
+def _token_pass(token: str) -> Pass:
+    """A well-formed token's pass, kept when short and the table has room."""
+    pas = _pass(int(token[1:-1]), token[0], 1 if token[-1] == "+" else -1)
+    if len(token) <= 8 and len(_TOKEN_PASSES) < _TOKEN_PASSES_CAP:
+        _TOKEN_PASSES[token] = pas
+    return pas
+
+
 @dataclass(frozen=True, order=True)
 class SemiArcId:
     component: int
     position: int
 
 
-def _index(maps, components, k: int, start: int, checked: bool):
-    """Map component k's passes, from start on, into maps; checked also validates them."""
-    over_at, under_at = maps
-    comp, row = components[k], _POSITIONS.get(k, ())
+def _map_roles(maps, components, k: int, start: int):
+    """Map component k's passes, from start on, into maps by role, unchecked."""
+    (over_at, under_at), comp, row = maps, components[k], _POSITIONS.get(k, ())
     if len(row) < len(comp):
         _POSITIONS[k] = row = row + tuple((k, p) for p in range(len(row), len(comp) * 9 // 8))
-    for pas, at_p in zip(comp[start:], row[start:]):
-        x, role = pas.crossing, pas.role
-        at = over_at if role == OVER else under_at
-        if checked:
+    for pas, q in zip(comp[start:], row[start:]):
+        if pas.role == OVER:
+            over_at[pas.crossing] = q
+        elif pas.role == UNDER:  # a pass of a third role is left out, for validation to see
+            under_at[pas.crossing] = q
+
+
+def _checked_maps(components):
+    """The maps, by a walk over the passes that raises the first rule broken."""
+    over_at, under_at = {}, {}
+    for k, comp in enumerate(components):
+        for p, pas in enumerate(comp):
+            x, role = pas.crossing, pas.role
+            at = over_at if role == OVER else under_at
             if not 0 < x < _ID_LIMIT:
                 raise ValidationError("crossing ids must be >= 1 and below 10**4000")
             if pas.sign not in (1, -1):
@@ -102,7 +121,12 @@ def _index(maps, components, k: int, start: int, checked: bool):
             partner = (under_at if at is over_at else over_at).get(x)
             if partner and components[partner[0]][partner[1]].sign != pas.sign:
                 raise ValidationError(f"crossing {x} has mismatched signs")
-        at[x] = at_p
+            at[x] = k, p
+    if over_at.keys() != under_at.keys():
+        x = next(pas.crossing for comp in components for pas in comp
+                 if pas.crossing not in over_at or pas.crossing not in under_at)
+        raise ValidationError(f"crossing {x} has no {'under' if x in over_at else 'over'} pass")
+    return over_at, under_at
 
 
 @dataclass(frozen=True)
@@ -121,23 +145,25 @@ class Diagram:
     components: tuple[tuple[Pass, ...], ...]
 
     def __post_init__(self):
-        vars(self)["components"] = tuple(map(tuple, self.components))
-        if not self.components:
+        components = vars(self)["components"] = tuple(map(tuple, self.components))
+        if not components:
             raise ValidationError("a diagram needs at least one component")
-        over_at, under_at = maps = {}, {}
-        for k in range(len(self.components)):
-            _index(maps, self.components, k, 0, checked=True)
-        if over_at.keys() != under_at.keys():
-            x = next(pas.crossing for comp in self.components for pas in comp
-                     if pas.crossing not in over_at or pas.crossing not in under_at)
-            side = "under" if x in over_at else "over"
-            raise ValidationError(f"crossing {x} has no {side} pass")
-        vars(self).update(_over_at=over_at, _under_at=under_at)
+        try:  # __getattr__ maps the passes by role; valid if none was lost to a duplicate
+            over_at, under_at = self._over_at, self._under_at  # or to a third role
+            valid = (len(over_at) + len(under_at) == sum(map(len, components))
+                     and over_at.keys() == under_at.keys()
+                     and all(0 < x < _ID_LIMIT and components[k][p].sign in (1, -1)
+                             and components[k][p].sign == components[j][q].sign
+                             for x, (k, p) in over_at.items() for j, q in [under_at[x]]))
+        except TypeError:  # an unhashable or unordered id
+            valid = False
+        if not valid:  # raises the first error, or maps unusual valid input
+            vars(self).update(zip(("_over_at", "_under_at"), _checked_maps(components)))
 
     def __getattr__(self, name):
         """A rewrite result's maps, built on first read: its parent's less the
         passes its edits replaced, with each edited component re-indexed from
-        its first edit, or, if the parent had none, every component from 0."""
+        its first edit, or with no parent maps (as in validation) all from 0."""
         if name not in ("_over_at", "_under_at"):
             raise AttributeError(f"'Diagram' object has no attribute {name!r}")
         (over_at, under_at), components, edits = vars(self).get("_parent") or (
@@ -147,7 +173,7 @@ class Diagram:
             for pas in components[k][start:stop]:
                 del (over_at if pas.role == OVER else under_at)[pas.crossing]
         for k, start in {k: start for k, start, _, _ in reversed(edits)}.items():
-            _index(maps, self.components, k, start, checked=False)
+            _map_roles(maps, self.components, k, start)
         for key, built in zip(("_over_at", "_under_at"), maps):
             vars(self).setdefault(key, built)  # racing readers built equal maps; the first stays
         vars(self).pop("_parent", None)  # frees the parent's maps; a later racer builds anew
@@ -219,26 +245,17 @@ class Diagram:
 def parse(text: str) -> Diagram:
     """Parse a Gauss-code string into a validated diagram.
 
-    A well-formed code is read in one regex pass; any other text goes to
+    A well-formed code costs one grammar match, one lookup per token in
+    _TOKEN_PASSES and Diagram's set and dict checks; other text goes to
     _raise_parse_error.  Raises ParseError (with the offending character
     offset) on grammar violations and ValidationError on structural ones.
     """
-    tokens = _CODE_TOKEN_RE.findall(text)
-    if len(tokens) != len(text.split()):
+    if _CODE_RE.fullmatch(text) is None:
         _raise_parse_error(text)
-    tokens.append(("", "", "", ";", ""))  # closes the last component
-    components, passes, loops = [], [], 0
+    get = _TOKEN_PASSES.get
     try:
-        for role, digits, sign, semi, loop in tokens:
-            if role:
-                passes.append(_pass(int(digits), role, 1 if sign == "+" else -1))
-            elif loop:
-                loops += 1
-            elif bool(passes) + loops == 1:
-                components.append(passes)
-                passes, loops = [], 0
-            else:  # an empty component, or '()' with anything else
-                _raise_parse_error(text)
+        components = [[] if tokens == ["()"] else [get(tok) or _token_pass(tok) for tok in tokens]
+                      for tokens in map(str.split, text.split(";"))]
     except ValueError:  # an id with more digits than int() converts
         _raise_parse_error(text)
     return Diagram(components)

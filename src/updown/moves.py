@@ -254,14 +254,15 @@ def _rescan(old: Diagram, new: Diagram, edits, kinds,
     and on their adjacency.  A cached descriptor survives, at its passes'
     new positions, when each of its pairs still holds the same two Pass
     objects: a rewrite keeps its parent's, and no step both removes and
-    re-adds an id, so identity decides what equality would.  A pair that
-    became adjacent has both passes on touched crossings: an edit's new
-    passes and its old passes at start-1..stop (for an add, the two either
-    side of its cut, whose pair alone it breaks).  Each pair of a site holds
-    a crossing whose over pass lies in the site's first pair (RI: the kink;
-    RII: a or b; RIII: TM in the M pair, TB in the B pair), touched when the
-    pair is new, so scanning at q-1 and q, for the over pass q of every
-    touched crossing, finds every new site.
+    re-adds an id, so identity decides what equality would; parse shares
+    only equal passes and moves build fresh ones, which keeps this true.  A
+    pair that became adjacent has both passes on touched crossings: an
+    edit's new passes and its old passes at start-1..stop (for an add, the
+    two either side of its cut, whose pair alone it breaks).  Each pair of a
+    site holds a crossing whose over pass lies in the site's first pair (RI:
+    the kink; RII: a or b; RIII: TM in the M pair, TB in the B pair),
+    touched when the pair is new, so scanning at q-1 and q, for the over
+    pass q of every touched crossing, finds every new site.
     """
     touched = set()
     for k, start, stop, passes in edits:

@@ -1,6 +1,7 @@
 """Coloring solver, counting, colorability, maxord and color shifts."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,31 @@ class TestMaxord:
         # shifts 2, 2, -4
         d = ud.parse("O1+ O2+ ; O3+ O4+ U1+ U2+ ; U3+ U4+")
         assert ud.maxord(d) == 2
+
+    def test_counted_without_offset_walk(self, monkeypatch):
+        # maxord counts over passes; only the multiset's colorings walk offsets
+        walks = []
+        walk = ud.diagram._semi_arc_offsets
+
+        def counted(*args):
+            walks.append(args[1:])
+            return walk(*args)
+
+        monkeypatch.setattr("updown.coloring._semi_arc_offsets", counted)
+        monkeypatch.setattr("updown.diagram._semi_arc_offsets", counted)
+        ud.rii_report(ud.parse(DELTA), ud.parse(KINK), ud.builtin_table("example-f"))
+        assert len(walks) == 2  # 4 when maxord walked each knot
+        walks.clear()
+        ud.rii_report(ud.parse("O1+ O2+ ; U1+ U2+"), ud.parse("O1+ ; U1+"))
+        assert walks == []  # 4 when maxord walked each component
+
+    @given(diagrams(max_crossings=6, max_components=4))
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_of_component_shifts(self, d):
+        g = 0
+        for k in range(d.num_components):
+            g = math.gcd(g, ud.component_shift(d, k))
+        assert ud.maxord(d) == g
 
 
 class TestShiftColoring:

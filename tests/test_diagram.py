@@ -4,12 +4,15 @@ import copy
 import dataclasses
 import pickle
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import updown as ud
+from updown.diagram import _checked_maps
 from updown.moves import _edits
 from helpers import (DELTA, KINK, KNOT_CODES, reference_parse, reference_validation_error,
                      tangle)
@@ -112,6 +115,51 @@ class TestValidationReference:
         self.assert_agrees((tuple(ud.Pass(*pas) for pas in passes),))
 
 
+class TestFastValidation:
+    """The set and dict checks accept exactly what the checked walk accepts,
+    with the same maps, and leave every error to it."""
+
+    def assert_like_checked_walk(self, components):
+        try:
+            expected = _checked_maps(components)
+        except ud.ValidationError as exc:
+            expected = str(exc)
+        try:
+            d = ud.Diagram(components)
+        except ud.ValidationError as exc:
+            assert str(exc) == expected, components
+        else:
+            assert isinstance(expected, tuple), components
+            for built, walked in zip((d._over_at, d._under_at), expected):
+                assert built == walked
+                assert {x: type(x) for x in built} == {x: type(x) for x in walked}
+
+    @pytest.mark.parametrize("components", [
+        # a duplicate pass at the end of the last component
+        (((1, ud.OVER, 1), (2, ud.UNDER, -1)), ((2, ud.OVER, -1), (1, ud.UNDER, 1), (2, ud.OVER, -1))),
+        # a sign mismatch on the final crossing
+        (((1, ud.OVER, 1), (2, ud.OVER, -1)), ((1, ud.UNDER, 1), (2, ud.UNDER, 1))),
+        # ids equal as numbers: the walk accepts True and 1 as one crossing
+        (((True, ud.OVER, 1), (1, ud.UNDER, 1)),),
+        (((1, ud.UNDER, 1),), ((True, ud.OVER, True),)),
+    ])
+    def test_checked_walk_decides(self, components):
+        components = tuple(tuple(ud.Pass(*pas) for pas in comp) for comp in components)
+        self.assert_like_checked_walk(components)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(near_valid_passes(), diagrams(max_crossings=6, max_components=4).map(
+        lambda d: d.components)))
+    def test_agrees_with_checked_walk(self, components):
+        self.assert_like_checked_walk(components)
+
+    def test_unhashable_id_raises_as_before(self):
+        # TypeError is not a validation error; the walk raises it as it always did
+        passes = (ud.Pass([1], ud.OVER, 1), ud.Pass([1], ud.UNDER, 1))
+        with pytest.raises(TypeError, match="'<' not supported"):
+            ud.Diagram((passes,))
+
+
 _ZERO_PADDED = f"O1+ U1+ O{'0' * 4300}1+"  # an id with more digits than int() converts
 # each grammar violation with its exact message and position
 _SYNTAX_ERRORS = {
@@ -146,10 +194,13 @@ class TestPass:
             pas.sign = 1
         assert not hasattr(pas, "__dict__")
 
-    def test_private_constructor_matches(self):
+    def test_private_constructor_matches(self, monkeypatch):
         # parse, connected_sum and the move edits build passes without
         # Pass.__init__; nothing may tell them apart from Pass(...)
+        monkeypatch.setattr("updown.diagram._TOKEN_PASSES", {})
         d = ud.parse("O1+ U2- O3+ U1+ O2- U3+")
+        again = ud.parse("O1+ U2- O3+ U1+ O2- U3+")  # its passes come from the token table
+        assert all(a is b for a, b in zip(again.components[0], d.components[0]))
         summed = ud.connected_sum(d, ud.parse(DELTA), ud.SemiArcId(0, 1), ud.SemiArcId(0, 2))
         added = [pas for kind, variant, sites in ((ud.RI_ADD, "UO-", ((0, 3),)),
                                                   (ud.RII_ADD, "antiparallel+", ((0, 1), (0, 4))))
@@ -271,6 +322,73 @@ class TestParse:
     def test_roundtrip_empty(self):
         assert ud.serialize(ud.parse("()")) == "()"
         assert ud.serialize(ud.parse("()  ;   ()")) == "() ; ()"
+
+
+def spelled(pas):
+    return f"{pas.role}{pas.crossing}{'+' if pas.sign == 1 else '-'}"
+
+
+class TestTokenPasses:
+    """parse shares the Pass of each short token through a bounded table."""
+
+    @pytest.fixture(autouse=True)
+    def table(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr("updown.diagram._TOKEN_PASSES", table)
+        return table
+
+    def test_table_stops_at_its_cap(self, table):
+        cap = ud.diagram._TOKEN_PASSES_CAP
+        ids = range(1, cap // 2 + 100)  # each sign's code holds 2 tokens per id
+        for sign in "+-":
+            text = " ".join(f"O{x}{sign} U{x}{sign}" for x in ids)
+            assert ud.parse(text) == reference_parse(text)
+            assert len(table) <= cap
+        assert len(table) == cap
+        assert all(spelled(pas) == tok for tok, pas in table.items())
+
+    def test_only_short_tokens_are_stored(self, table):
+        big = 10**3999
+        for text in (f"O{big}+ U{big}+", f"O{'0' * 4289}7+ U1000000+ O1000000+ U7+",
+                     "O999999- U000009- O9- U999999-"):
+            assert ud.parse(text) == reference_parse(text)
+        assert set(table) == {"U7+", "O999999-", "U000009-", "O9-", "U999999-"}
+        assert table["U000009-"] == ud.Pass(9, ud.UNDER, -1)
+
+    def test_repeated_parses_agree(self, table):
+        text = "O1+ O2- ; U1+ O3+ U2- U3+ ; ()"
+        first, second = ud.parse(text), ud.parse(text)
+        assert first == second == reference_parse(text)
+        assert (first._over_at, first._under_at) == (second._over_at, second._under_at)
+        assert all(a is b for c1, c2 in zip(first.components, second.components)
+                   for a, b in zip(c1, c2))
+
+    def test_racing_parsers(self, table, monkeypatch):
+        # each of 4 threads parses codes whose tokens the others also parse;
+        # a racer can add at most one token past the cap
+        monkeypatch.setattr("updown.diagram._TOKEN_PASSES_CAP", 64)
+        texts = [" ".join(f"O{x}{sign} U{x}{sign}" for x in range(1 + r, 40 + r))
+                 for r in range(0, 30, 3) for sign in "+-"]
+        expected = [reference_parse(text) for text in texts]
+        interval, start, seen = sys.getswitchinterval(), threading.Barrier(4), []
+
+        def parse_all():
+            start.wait(timeout=60)
+            seen.append([ud.parse(text) for text in texts])
+
+        sys.setswitchinterval(1e-6)  # switch threads often inside the parse
+        try:
+            threads = [threading.Thread(target=parse_all) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 4 and all(parsed == expected for parsed in seen)
+        assert 64 <= len(table) <= 64 + 3
+        assert all(spelled(pas) == tok for tok, pas in table.items())
 
 
 class TestSemiArcs:
