@@ -102,41 +102,42 @@ def _map_roles(maps, components, k: int, start: int):
             under_at[pas.crossing] = q
 
 
-def _checked_maps(components):
-    """The maps, by a walk over the passes that raises the first rule broken."""
-    over_at, under_at = {}, {}
-    for k, comp in enumerate(components):
-        for p, pas in enumerate(comp):
+def _raise_validation_error(components) -> NoReturn:
+    """Raise the first rule broken by passes Diagram's set checks reject."""
+    over, under = {}, {}  # crossing -> its pass seen so far in each role
+    for comp in components:
+        for pas in comp:
             x, role = pas.crossing, pas.role
-            at = over_at if role == OVER else under_at
+            seen = over if role == OVER else under
             if not 0 < x < _ID_LIMIT:
                 raise ValidationError("crossing ids must be >= 1 and below 10**4000")
+            if not isinstance(x, int):
+                raise ValidationError(f"crossing {x}: id must be an integer")
             if pas.sign not in (1, -1):
                 raise ValidationError(f"crossing {x}: sign must be +1 or -1")
-            if at is under_at and role != UNDER:
+            if seen is under and role != UNDER:
                 raise ValidationError(f"crossing {x}: unknown role {role!r}")
-            if x in at:
+            if x in seen:
                 side = "over" if role == OVER else "under"
                 raise ValidationError(f"crossing {x} has two {side} passes")
-            partner = (under_at if at is over_at else over_at).get(x)
-            if partner and components[partner[0]][partner[1]].sign != pas.sign:
+            partner = (under if seen is over else over).get(x)
+            if partner and partner.sign != pas.sign:
                 raise ValidationError(f"crossing {x} has mismatched signs")
-            at[x] = k, p
-    if over_at.keys() != under_at.keys():
-        x = next(pas.crossing for comp in components for pas in comp
-                 if pas.crossing not in over_at or pas.crossing not in under_at)
-        raise ValidationError(f"crossing {x} has no {'under' if x in over_at else 'over'} pass")
-    return over_at, under_at
+            seen[x] = pas
+    lone = over.keys() ^ under.keys()
+    for x in (pas.crossing for comp in components for pas in comp if pas.crossing in lone):
+        raise ValidationError(f"crossing {x} has no {'under' if x in over else 'over'} pass")
+    raise AssertionError("unreachable: every diagram the set checks reject breaks a rule")
 
 
 @dataclass(frozen=True)
 class Diagram:
     """An ordered sequence of components.
 
-    Every crossing id must occur exactly twice, once over and once under,
-    with the same sign on both passes, which is read from the over pass.
-    The constructor stores the components as tuples, validates them and
-    maps each crossing to its two pass positions.  A move result is valid
+    Every crossing id, an int, occurs once over and once under, with one
+    sign, read from the over pass.  The constructor stores the components
+    as tuples, maps each crossing to its two pass positions and decides by
+    set and dict checks alone (__post_init__).  A move result is valid
     by construction and skips all that (_rewritten): it costs its spliced
     slices and builds its maps when first read.  Instances are immutable
     and safe to share; all operations on them are pure functions.
@@ -148,17 +149,22 @@ class Diagram:
         components = vars(self)["components"] = tuple(map(tuple, self.components))
         if not components:
             raise ValidationError("a diagram needs at least one component")
-        try:  # __getattr__ maps the passes by role; valid if none was lost to a duplicate
-            over_at, under_at = self._over_at, self._under_at  # or to a third role
+        # these checks alone decide: __getattr__ maps the passes by role; valid if none
+        # was lost to a duplicate or a third role, every crossing has both, and per
+        # crossing both ids are ints (U1.0 keys like O1) in range, with one sign, +1 or -1;
+        # the ordered walk, like parse's, only reports the first rule a rejection broke
+        try:
+            over_at, under_at = self._over_at, self._under_at
             valid = (len(over_at) + len(under_at) == sum(map(len, components))
                      and over_at.keys() == under_at.keys()
-                     and all(0 < x < _ID_LIMIT and components[k][p].sign in (1, -1)
-                             and components[k][p].sign == components[j][q].sign
-                             for x, (k, p) in over_at.items() for j, q in [under_at[x]]))
+                     and all(0 < x < _ID_LIMIT and o.sign in (1, -1) and o.sign == u.sign
+                             and isinstance(x, int) and isinstance(u.crossing, int)
+                             for x, (k, p) in over_at.items() for j, q in [under_at[x]]
+                             for o, u in [(components[k][p], components[j][q])]))
         except TypeError:  # an unhashable or unordered id
             valid = False
-        if not valid:  # raises the first error, or maps unusual valid input
-            vars(self).update(zip(("_over_at", "_under_at"), _checked_maps(components)))
+        if not valid:
+            _raise_validation_error(components)
 
     def __getattr__(self, name):
         """A rewrite result's maps, built on first read: its parent's less the
@@ -307,7 +313,7 @@ def serialize(d: Diagram) -> str:
             parts.append("()")
         else:
             parts.append(" ".join(
-                f"{p.role}{p.crossing}{'+' if p.sign > 0 else '-'}" for p in comp))
+                f"{p.role}{p.crossing:d}{'+' if p.sign > 0 else '-'}" for p in comp))
     return " ; ".join(parts)
 
 

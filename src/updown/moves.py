@@ -151,16 +151,15 @@ def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
             continue
         if a.role != OVER or b.role != OVER:
             continue
+        # this adjacency test and B's below stay inline: a shared helper slows walk measurably
         if RII_REMOVE in kinds and a.sign == -b.sign:
-            # the under passes of a then b (parallel), or of b then a
-            ku, pu = under_at[a.crossing]
-            under = components[ku]
-            nxt, prv = (pu + 1) % len(under), (pu - 1) % len(under)
-            for pattern, start, other in (("parallel", pu, nxt), ("antiparallel", prv, prv)):
-                pas = under[other]
-                if other != pu and pas.role == UNDER and pas.crossing == b.crossing:
+            k_under, p_a = under_at[a.crossing]
+            k_under2, p_b = under_at[b.crossing]
+            # the under passes of a then b (parallel), or of b then a; both on two passes
+            for pattern, start, after in (("parallel", p_a, p_b), ("antiparallel", p_b, p_a)):
+                if k_under2 == k_under and (start + 1) % len(components[k_under]) == after:
                     out.append(MoveDescriptor(
-                        RII_REMOVE, f"{pattern}{_sign_char(a.sign)}", ((k, p), (ku, start))))
+                        RII_REMOVE, f"{pattern}{_sign_char(a.sign)}", ((k, p), (k_under, start))))
         if RIII not in kinds:
             continue
         for t_first, tm_pass, tb_pass in (("TM", a, b), ("TB", b, a)):
@@ -211,9 +210,9 @@ class _MoveIndex:
                                       initial=0))
         n_arcs = self.starts[-1]
         room = _ID_LIMIT - 1 - d.max_crossing_id()
-        self.ri_add = 4 * n_arcs if RI_ADD in kinds and _FRESH_IDS[RI_ADD] <= room else 0
-        self.rii_add = (4 * n_arcs * (n_arcs - 1)
-                        if RII_ADD in kinds and _FRESH_IDS[RII_ADD] <= room else 0)
+        fits = {kind: kind in kinds and fresh <= room for kind, fresh in _FRESH_IDS.items()}
+        self.ri_add = len(_RI_VARIANTS) * n_arcs * fits[RI_ADD]
+        self.rii_add = len(_RII_VARIANTS) * n_arcs * (n_arcs - 1) * fits[RII_ADD]
         if local is None:
             local = []
             if kinds & _LOCAL_KINDS:
@@ -231,14 +230,14 @@ class _MoveIndex:
 
     def descriptor(self, idx: int) -> MoveDescriptor:
         if idx < self.ri_add:
-            arc, var = divmod(idx, 4)
+            arc, var = divmod(idx, len(_RI_VARIANTS))
             return MoveDescriptor(RI_ADD, _RI_VARIANTS[var], (self._arc(arc),))
         idx -= self.ri_add
         if idx < self.n_ri_remove:
             return self.local[idx]
         idx -= self.n_ri_remove
         if idx < self.rii_add:
-            pair, var = divmod(idx, 4)
+            pair, var = divmod(idx, len(_RII_VARIANTS))
             i, r = divmod(pair, self.starts[-1] - 1)
             j = r if r < i else r + 1
             return MoveDescriptor(RII_ADD, _RII_VARIANTS[var], (self._arc(i), self._arc(j)))
@@ -327,7 +326,8 @@ def _edits(d: Diagram, mv: MoveDescriptor) -> list[tuple[int, int, int, tuple[Pa
         arcs = _ADD_LAYOUTS[mv.kind].get(mv.variant) if isinstance(mv.variant, str) else None
         _require(arcs is not None, "bad %s variant %r", mv.kind, mv.variant)
         _require(len(mv.sites) == len(arcs), "wrong number of sites for this add move")
-        for k, p in mv.sites:  # _site raises the first failing check's error
+        # each site is checked inline: routing it through _site slows walk measurably
+        for k, p in mv.sites:  # a failing site goes to _site only to raise its error
             if not (0 <= k < len(d.components) and 0 <= p < (len(d.components[k]) or 1)):
                 _site(d, (k, p), arc=True)
         _require(len(arcs) == 1 or tuple(mv.sites[0]) != tuple(mv.sites[1]),
@@ -381,7 +381,7 @@ def random_walk(d: Diagram, steps: int, kinds, seed: int
     Each step picks uniformly among all applicable descriptors of the
     requested kinds; a step with no applicable move is recorded as a stall
     (None descriptor, unchanged diagram).  Identical arguments always give
-    identical trajectories.
+    identical trajectories.  _rescan's read builds each step's maps.
     """
     kinds = frozenset(kinds)
     if not kinds:
@@ -400,7 +400,6 @@ def random_walk(d: Diagram, steps: int, kinds, seed: int
         mv = index.descriptor(rng.randrange(index.total))
         edits = _edits(current, mv)
         new = current._rewritten(edits)
-        new.__getattr__("_over_at")  # every step's maps are read: build them at once
         current, local = new, _rescan(current, new, edits, kinds, local)
         trajectory.append((mv, current))
     return trajectory

@@ -345,10 +345,11 @@ def reference_validation_error(components) -> str | None:
     raises, or None for a valid diagram, read off the rules.
 
     The passes are checked in component-major order, each in turn for an id
-    in 1..10**4000 - 1, a sign of +1 or -1, the role "O" or "U", a second
-    pass of its crossing in the same role, and a sign that differs from the
-    crossing's earlier pass.  Then the crossings, in order of first
-    appearance, are checked for a missing over or under pass.
+    in 1..10**4000 - 1, an id that is an int (bool included), a sign of +1
+    or -1, the role "O" or "U", a second pass of its crossing in the same
+    role, and a sign that differs from the crossing's earlier pass.  Then
+    the crossings, in order of first appearance, are checked for a missing
+    over or under pass.
     """
     if not components:
         return "a diagram needs at least one component"
@@ -358,6 +359,8 @@ def reference_validation_error(components) -> str | None:
             x = pas.crossing
             if not 1 <= x <= 10**4000 - 1:
                 return "crossing ids must be >= 1 and below 10**4000"
+            if not isinstance(x, int):
+                return f"crossing {x}: id must be an integer"
             if pas.sign not in (1, -1):
                 return f"crossing {x}: sign must be +1 or -1"
             if pas.role not in ("O", "U"):
@@ -375,6 +378,13 @@ def reference_validation_error(components) -> str | None:
         if "U" not in roles:
             return f"crossing {x} has no under pass"
     return None
+
+
+def reference_maps(components) -> tuple[dict, dict]:
+    """The crossing -> (component, position) maps of a valid diagram's over
+    and under passes, read straight off its components."""
+    return tuple({pas.crossing: (k, p) for k, comp in enumerate(components)
+                  for p, pas in enumerate(comp) if pas.role == role} for role in ("O", "U"))
 
 
 _REF_PASS_RE = re.compile(r"([OU])([0-9]+)([+-])\Z")

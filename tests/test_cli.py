@@ -129,6 +129,10 @@ class TestCocycleCommands:
         assert code == 0
         assert out == "count=4\n"
 
+    def test_search_rejects_zero_modulus(self, capsys):
+        code, out, err = run(capsys, "cocycle-search", "--n", "0", "--m", "2")
+        assert (code, out, err) == (1, "", "error: both moduli must be >= 1\n")
+
     def test_search_dump_parses_back(self, capsys):
         code, out, _ = run(capsys, "cocycle-search", "--n", "2", "--m", "2", "--dump")
         assert code == 0

@@ -290,6 +290,7 @@ class TestFileFormat:
         "n=1 m=2\n0 0 + 0\n0 0 +- 1",
         "n=1 m=2\n0 0 + 0\n0 0 * 1",
         "n=1 m=2\n0 0 + 0\n0 0 - 1 1",
+        "n=1 m=2\n0 0 + 0\n0 0 + x",
     ])
     def test_bad_entry_line(self, text):
         with pytest.raises(ud.CocycleError, match="bad entry line"):
@@ -318,6 +319,23 @@ class TestTableBasics:
         for entries in [(0, 3), (-1, 0), (0, 2)]:
             with pytest.raises(ud.CocycleError, match="reduced residues"):
                 ud.CocycleTable(1, 2, entries)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ud.CocycleTable(0, 2, ()),
+        lambda: ud.builtin_table("zero(0,2)"),
+        lambda: ud.enumerate_shiftable(0, 2),
+        lambda: ud.enumerate_shiftable(3, 0),
+        lambda: ud.parse_table("n=0 m=2\n"),
+    ], ids=["table", "builtin", "search-n", "search-m", "file"])
+    def test_moduli_below_one(self, make):
+        with pytest.raises(ud.CocycleError, match="^both moduli must be >= 1$"):
+            make()
+
+    @pytest.mark.parametrize("plus,minus", [((0,), (0, 0)), ((0, 0), (0, 0, 0))],
+                             ids=["plus", "minus"])
+    def test_difference_rows_of_wrong_length(self, plus, minus):
+        with pytest.raises(ud.CocycleError, match="difference tables must have length n"):
+            ud.CocycleTable.from_differences(2, 2, plus, minus)
 
     def test_value_reduces_arguments(self):
         f = ud.builtin_table("example-f")

@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import updown as ud
-from updown.diagram import _checked_maps
 from updown.moves import _edits
-from helpers import (DELTA, KINK, KNOT_CODES, reference_parse, reference_validation_error,
-                     tangle)
+from helpers import (DELTA, KINK, KNOT_CODES, reference_maps, reference_parse,
+                     reference_validation_error, tangle)
 
 
 @st.composite
@@ -40,7 +39,7 @@ def diagrams(draw, max_crossings=5, max_components=3):
 # mostly well-formed passes on ids 1..4, with bad ids, signs and roles mixed in
 messy_passes = st.builds(
     ud.Pass,
-    st.sampled_from((1, 2, 3, 4) * 8 + (0, -1, 10**4000, 10**4000 - 1)),
+    st.sampled_from((1, 2, 3, 4) * 8 + (0, -1, 10**4000, 10**4000 - 1, True, 2.0, 1.5)),
     st.sampled_from((ud.OVER, ud.UNDER) * 8 + ("X", "o", "")),
     st.sampled_from((1, -1) * 8 + (0, 2, -2)),
 )
@@ -110,48 +109,54 @@ class TestValidationReference:
         # on one pass a duplicate role wins over a mismatch, a bad sign over a bad role
         ((1, ud.OVER, 1), (1, ud.OVER, -1), (1, ud.UNDER, -1)),
         ((1, "X", 0), (1, ud.OVER, 1)),
+        # a float id is reported at its pass: after an earlier mismatch, before a
+        # bad sign, and on the under pass that equals an int over pass
+        ((1, ud.OVER, 1), (1, ud.UNDER, -1), (1.5, ud.OVER, 1), (1.5, ud.UNDER, 1)),
+        ((2, ud.OVER, 1), (1.5, ud.OVER, 0), (1.5, ud.UNDER, 1), (2, ud.UNDER, 1)),
+        ((1, ud.OVER, 1), (1.0, ud.UNDER, 1)),
     ])
     def test_first_error(self, passes):
         self.assert_agrees((tuple(ud.Pass(*pas) for pas in passes),))
 
 
 class TestFastValidation:
-    """The set and dict checks accept exactly what the checked walk accepts,
-    with the same maps, and leave every error to it."""
+    """The set and dict checks accept exactly what the rules accept, with the
+    maps read off the passes, and leave every error to the ordered walk."""
 
-    def assert_like_checked_walk(self, components):
-        try:
-            expected = _checked_maps(components)
-        except ud.ValidationError as exc:
-            expected = str(exc)
+    def assert_like_reference(self, components):
+        expected = reference_validation_error(components)
         try:
             d = ud.Diagram(components)
         except ud.ValidationError as exc:
             assert str(exc) == expected, components
         else:
-            assert isinstance(expected, tuple), components
-            for built, walked in zip((d._over_at, d._under_at), expected):
-                assert built == walked
-                assert {x: type(x) for x in built} == {x: type(x) for x in walked}
+            assert expected is None, components
+            for built, read in zip((d._over_at, d._under_at), reference_maps(components)):
+                assert built == read
+                assert {x: type(x) for x in built} == {x: type(x) for x in read}
 
     @pytest.mark.parametrize("components", [
         # a duplicate pass at the end of the last component
         (((1, ud.OVER, 1), (2, ud.UNDER, -1)), ((2, ud.OVER, -1), (1, ud.UNDER, 1), (2, ud.OVER, -1))),
         # a sign mismatch on the final crossing
         (((1, ud.OVER, 1), (2, ud.OVER, -1)), ((1, ud.UNDER, 1), (2, ud.UNDER, 1))),
-        # ids equal as numbers: the walk accepts True and 1 as one crossing
+        # ids equal as numbers: True and 1 are one crossing, both ints
         (((True, ud.OVER, 1), (1, ud.UNDER, 1)),),
         (((1, ud.UNDER, 1),), ((True, ud.OVER, True),)),
+        # equal as numbers, but 2.0 is no int, over or under
+        (((2, ud.OVER, 1),), ((2.0, ud.UNDER, 1),)),
+        (((2.0, ud.OVER, 1), (2, ud.UNDER, 1)),),
     ])
     def test_checked_walk_decides(self, components):
+        # the set checks decide; the walk only reports what they reject
         components = tuple(tuple(ud.Pass(*pas) for pas in comp) for comp in components)
-        self.assert_like_checked_walk(components)
+        self.assert_like_reference(components)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(near_valid_passes(), diagrams(max_crossings=6, max_components=4).map(
         lambda d: d.components)))
     def test_agrees_with_checked_walk(self, components):
-        self.assert_like_checked_walk(components)
+        self.assert_like_reference(components)
 
     def test_unhashable_id_raises_as_before(self):
         # TypeError is not a validation error; the walk raises it as it always did
@@ -285,6 +290,8 @@ class TestParse:
         (((0, ud.OVER, 1), (0, ud.UNDER, 1)), "crossing ids must be >= 1"),
         (((2, ud.OVER, 1), (1, ud.OVER, 1), (1, ud.UNDER, 1)), "crossing 2 has no under pass"),
         (((2, ud.UNDER, 1), (1, ud.OVER, 1), (1, ud.UNDER, 1)), "crossing 2 has no over pass"),
+        # serialize could not write 1.5 back as text that parse reads
+        (((1.5, ud.OVER, 1), (1.5, ud.UNDER, 1)), "crossing 1.5: id must be an integer"),
     ])
     def test_constructor_validates(self, passes, message):
         # move results skip validation; the public constructor never does
@@ -318,6 +325,12 @@ class TestParse:
 
     def test_whitespace_normalization(self):
         assert ud.serialize(ud.parse("O1-  O2+   U1- U2+")) == "O1- O2+ U1- U2+"
+
+    def test_bool_id_roundtrip(self):
+        # True is the int 1, so it is written as 1 and read back as an equal diagram
+        d = ud.Diagram(((ud.Pass(True, ud.OVER, 1), ud.Pass(True, ud.UNDER, 1)),))
+        assert ud.serialize(d) == "O1+ U1+"
+        assert ud.parse(ud.serialize(d)) == d
 
     def test_roundtrip_empty(self):
         assert ud.serialize(ud.parse("()")) == "()"

@@ -1,5 +1,6 @@
 """Rewrite enumeration, application, legality checks and random walks."""
 
+import copy
 import hashlib
 import itertools
 import random
@@ -511,6 +512,17 @@ class TestResultMaps:
                 assert out == _swapped_or_cut(d, mv), mv
             else:
                 assert out == brute_add(d, mv), mv
+
+    def test_unread_result_reads_and_copies(self):
+        # an unknown attribute builds nothing; a deep copy made before the
+        # first read carries the parent's maps and builds equal ones
+        out = ud.apply_move(ud.parse(TREFOIL), ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 0),)))
+        assert not hasattr(out, "nope")
+        assert "_over_at" not in vars(out)
+        copied = copy.deepcopy(out)
+        assert copied == out
+        assert (copied._over_at, copied._under_at) == (out._over_at, out._under_at)
+        assert_indexed(copied)
 
     def test_add_layouts_pair_each_fresh_id(self):
         # an add result is valid by construction: each fresh id gets one over
