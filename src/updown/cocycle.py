@@ -32,7 +32,8 @@ class CocycleTable:
     """Total map on Z_n x Z_n x {+,-} with values in Z_m.
 
     Entries are stored flat, sign-major then row-major:
-    index(a, b, +) = (a*n + b) and index(a, b, -) = (n*n + a*n + b).
+    index(a, b, +) = (a*n + b) and index(a, b, -) = (n*n + a*n + b), as a
+    tuple; a tuple passed in is kept as it is.
     """
 
     n: int
@@ -41,6 +42,8 @@ class CocycleTable:
 
     def __post_init__(self):
         _require_size(self.n, self.m)
+        if type(self.entries) is not tuple:
+            vars(self)["entries"] = tuple(self.entries)
         if len(self.entries) != 2 * self.n * self.n:
             raise CocycleError(f"need exactly 2*n*n entries, got {len(self.entries)}")
         if min(self.entries) < 0 or max(self.entries) >= self.m:
@@ -116,9 +119,11 @@ _OUTPUT_BUDGET = 10_000_000
 
 
 def _require_size(n: int, m: int, tables: int = 0) -> None:
-    """CocycleError unless both moduli are >= 1, then BudgetExceededError
+    """CocycleError unless both moduli are ints >= 1, then BudgetExceededError
     when `tables` tables of 2*n*n entries exceed 10**7 entries.  The message
     names the budget, not the size, which may be too long for str()."""
+    if not (isinstance(n, int) and isinstance(m, int)):
+        raise CocycleError("both moduli must be integers")
     if n < 1 or m < 1:
         raise CocycleError("both moduli must be >= 1")
     if tables and tables * 2 * n * n > _OUTPUT_BUDGET:

@@ -52,6 +52,7 @@ RIII = "RIII"
 MOVE_KINDS = frozenset({RI_ADD, RI_REMOVE, RII_ADD, RII_REMOVE, RIII})
 _LOCAL_KINDS = frozenset({RI_REMOVE, RII_REMOVE, RIII})
 _descriptor_key = attrgetter("kind", "sites", "variant")  # sort key of descriptor lists
+_LISTING_BUDGET = 10**6  # descriptors per enumerate_moves call, as many as colorings per listing
 
 # Identity moves on this representation; listed for documentation only.
 VIRTUAL_MOVES = ("VRI", "VRII", "VRIII", "VRIV")
@@ -296,8 +297,11 @@ def _rescan(old: Diagram, new: Diagram, edits, kinds,
 
 def enumerate_moves(d: Diagram, kinds) -> list[MoveDescriptor]:
     """All applicable descriptors of the requested kinds, sorted by
-    (kind, sites, variant)."""
+    (kind, sites, variant).  More than 10**6 of them raise MoveError
+    before any descriptor is built."""
     index = _MoveIndex(d, frozenset(kinds))
+    if index.total > _LISTING_BUDGET:
+        raise MoveError(f"move descriptors exceed the listing budget of {_LISTING_BUDGET}")
     return [index.descriptor(i) for i in range(index.total)]
 
 

@@ -16,11 +16,10 @@ values are derived from.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import re
-
-import numpy as np
 
 import updown as ud
 from updown.cocycle import _CONDITIONS, _scan_violation
@@ -183,18 +182,20 @@ def _brute_check(d: ud.Diagram, colors: dict, spec: ud.ColoringSpec) -> bool:
 
 
 def brute_weight_sum(d: ud.Diagram, colors: dict, table: ud.CocycleTable) -> int:
-    """Weight sum computed by scanning the pass sequences directly."""
+    """Weight sum computed by scanning the pass sequences directly: each
+    crossing is found at its over pass, which also gives its sign."""
     locations = {}
     for k, comp in enumerate(d.components):
         for p, pas in enumerate(comp):
             locations[(pas.crossing, pas.role)] = (k, p)
     total = 0
-    for x in d.crossing_ids():
-        ko, po = locations[(x, ud.OVER)]
+    for (x, role), (ko, po) in locations.items():
+        if role != ud.OVER:
+            continue
         ku, pu = locations[(x, ud.UNDER)]
         size_o = len(d.components[ko])
         size_u = len(d.components[ku])
-        if d.crossing_sign(x) > 0:
+        if d.components[ko][po].sign > 0:
             a = colors[ud.SemiArcId(ku, (pu - 1) % size_u)]
             b = colors[ud.SemiArcId(ko, po)]
             total += table.value(a, b, 1)
@@ -318,7 +319,7 @@ def brute_add(d: ud.Diagram, mv: ud.MoveDescriptor) -> ud.Diagram:
     passes in the same order (parallel) or the reverse one (antiparallel).
     Every insertion is placed while walking the unmodified components.
     """
-    x = max(d.crossing_ids(), default=0) + 1
+    x = max((pas.crossing for comp in d.components for pas in comp), default=0) + 1
     sign = 1 if mv.variant.endswith("+") else -1
     if mv.kind == ud.RI_ADD:
         layouts = [[ud.Pass(x, role, sign) for role in mv.variant[:2]]]
@@ -438,41 +439,33 @@ def reference_parse(text: str) -> ud.Diagram:
 
 
 def fast_phi(d: ud.Diagram, table: ud.CocycleTable) -> tuple[int, ...]:
-    """Vectorized weight multiset for single-component diagrams.
+    """Weight multiset of a single-component diagram, read off its passes
+    and table.entries alone.
 
-    Used by the long random-walk suites where the library implementation
-    would dominate the runtime; agreement with phi_multiset is asserted
-    separately wherever this helper is used.
+    One walk records each semi-arc's color, up to one shift shared by all
+    semi-arcs, and the positions of each crossing's over and under pass.
+    Crossings are then counted by (sign block, under color, over color), and
+    each of the n shifts reads one table entry per class.  Used by the long
+    random-walk suites, where phi_multiset would dominate the runtime;
+    agreement with phi_multiset is asserted wherever this helper is used.
     """
     assert d.num_components == 1
-    n, m = table.n, table.m
+    n, m, entries = table.n, table.m, table.entries
     comp = d.components[0]
-    size = len(comp)
-    if size == 0:
-        return (0,) * n
-    deltas = np.zeros(size, dtype=np.int64)
+    color, colors, over_at, under_at = 0, [], {}, {}
     for p, pas in enumerate(comp):
-        deltas[p] = 1 if pas.role == ud.OVER else -1
-    # color of arc p relative to arc 0 is the delta total of passes 1..p
-    prefix = np.concatenate(([0], np.cumsum(deltas[1:])))
-
-    over_at, under_at = {}, {}
-    for p, pas in enumerate(comp):
+        # semi-arc p follows pass p, one color up after an over pass, one down after an under
+        color += 1 if pas.role == ud.OVER else -1
+        colors.append(color % n)
         (over_at if pas.role == ud.OVER else under_at)[pas.crossing] = p
-    under_args, over_args, blocks = [], [], []
-    for x in d.crossing_ids():
-        po, pu = over_at[x], under_at[x]
-        if d.crossing_sign(x) > 0:
-            under_args.append((pu - 1) % size)
-            over_args.append(po)
-            blocks.append(0)
+    classes = collections.Counter()
+    for x, po in over_at.items():
+        pu = under_at[x]
+        if comp[po].sign > 0:
+            classes[0, colors[pu - 1], colors[po]] += 1
         else:
-            under_args.append(pu)
-            over_args.append((po - 1) % size)
-            blocks.append(1)
-    tab = np.asarray(table.entries, dtype=np.int64).reshape(2, n, n)
-    shifts = np.arange(n, dtype=np.int64)[:, None]
-    a = (prefix[under_args][None, :] + shifts) % n
-    b = (prefix[over_args][None, :] + shifts) % n
-    sums = tab[np.asarray(blocks)[None, :], a, b].sum(axis=1) % m
-    return tuple(sorted(int(v) for v in sums))
+            classes[n * n, colors[pu], colors[po - 1]] += 1
+    return tuple(sorted(
+        sum(count * entries[block + (a + s) % n * n + (b + s) % n]
+            for (block, a, b), count in classes.items()) % m
+        for s in range(n)))

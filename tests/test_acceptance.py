@@ -209,8 +209,9 @@ def test_criterion_08_move_invariance():
     Component shifts determine all coloring counts and maxord, so they are
     compared at every step; the count_colorings/maxord API and the
     phi_multiset API are re-checked in full every API_CHECK_EVERY steps.
-    The per-step multiset uses the vectorized helper, whose agreement with
-    phi_multiset is asserted at every API checkpoint.
+    The per-step multiset uses fast_phi, which reads only the pass sequence
+    and the table entries; its agreement with phi_multiset is asserted at
+    every API checkpoint.
     """
     kinds = frozenset({ud.RI_ADD, ud.RI_REMOVE, ud.RIII})
     for code in WALK_FIXTURES:

@@ -331,6 +331,18 @@ class TestTableBasics:
         with pytest.raises(ud.CocycleError, match="^both moduli must be >= 1$"):
             make()
 
+    @pytest.mark.parametrize("n,m", [(2.0, 2), (2, 2.0)], ids=["n", "m"])
+    def test_moduli_must_be_integers(self, n, m):
+        with pytest.raises(ud.CocycleError, match="^both moduli must be integers$"):
+            ud.cocycle_violation(ud.CocycleTable(n, m, (0,) * 8))
+
+    def test_entries_are_a_tuple(self):
+        t = ud.CocycleTable(2, 2, [0] * 8)
+        assert type(t.entries) is tuple
+        assert hash(t) == hash(ud.CocycleTable.zero(2, 2))
+        entries = (0,) * 8
+        assert ud.CocycleTable(2, 2, entries).entries is entries
+
     @pytest.mark.parametrize("plus,minus", [((0,), (0, 0)), ((0, 0), (0, 0, 0))],
                              ids=["plus", "minus"])
     def test_difference_rows_of_wrong_length(self, plus, minus):

@@ -63,6 +63,27 @@ class TestVerify:
         assert brute == solved
 
 
+class TestSpecIntegers:
+    @pytest.mark.parametrize("args,name", [
+        ((2.0,), "modulus"), ((2, 1.5), "pos_shift"), ((2, 1, "1"), "neg_shift"),
+    ], ids=["modulus", "pos", "neg"])
+    def test_non_int_rejected(self, args, name):
+        with pytest.raises(ud.ColoringError, match=f"^{name} must be an integer, got "):
+            ud.ColoringSpec(*args)
+
+    def test_count_of_fractional_modulus(self):
+        # the closed form once returned 2.5 colorings
+        with pytest.raises(ud.ColoringError, match="^modulus must be an integer, got float$"):
+            ud.count_colorings(ud.parse(KINK), ud.ColoringSpec(2.5))
+
+    def test_solve_with_float_modulus(self):
+        with pytest.raises(ud.ColoringError, match="^modulus must be an integer, got float$"):
+            ud.solve_colorings(ud.parse(KINK), ud.ColoringSpec(2.0))
+
+    def test_bool_is_an_int(self):
+        assert ud.count_colorings(ud.parse(KINK), ud.ColoringSpec(True, False)) == 1
+
+
 class TestSolveAndCount:
     @pytest.mark.parametrize("code", KNOT_CODES)
     @pytest.mark.parametrize("n", [1, 2, 3, 7])

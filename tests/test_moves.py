@@ -114,6 +114,22 @@ class TestEnumerateBasics:
                 listed = [index.descriptor(i) for i in range(index.total)]
                 assert listed == ud.enumerate_moves(d, kinds)
 
+    def test_listing_budget_bounds_the_count(self, monkeypatch):
+        # 4 * 8 * 7 = 224 RII-adds on the 8 arcs of a chain of four kinks
+        d = ud.parse("O1+ U1+ O2+ U2+ O3+ U3+ O4+ U4+")
+        monkeypatch.setattr(moves, "_LISTING_BUDGET", 224)
+        assert len(ud.enumerate_moves(d, {ud.RII_ADD})) == 224
+        monkeypatch.setattr(moves, "_LISTING_BUDGET", 223)
+        with pytest.raises(ud.MoveError, match="^move descriptors exceed the listing budget of 223$"):
+            ud.enumerate_moves(d, {ud.RII_ADD})
+
+    def test_walk_start_size_exceeds_listing_budget(self):
+        # a 1024-crossing knot has 4 * 2048 * 2047 RII-adds; none is built
+        d = ud.parse(" ".join(f"O{x}+ U{x}+" for x in range(1, 1025)))
+        with pytest.raises(ud.MoveError, match="^move descriptors exceed the listing budget of 1000000$"):
+            ud.enumerate_moves(d, ALL_KINDS)
+        assert len(ud.enumerate_moves(d, {ud.RI_ADD, ud.RI_REMOVE})) == 4 * 2048 + 1024
+
 
 class TestKinkMoves:
     def test_add_to_unknot(self):
