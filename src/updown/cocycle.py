@@ -230,6 +230,7 @@ def enumerate_shiftable(n: int, m: int, jobs: int = 1) -> list[CocycleTable]:
     exceeds 10**7 entries raise BudgetExceededError before any row is built.
     `jobs` is accepted for compatibility and ignored.
     """
+    _require_size(n, m)  # before gcd, which takes only ints
     length, starts = (n, 1) if n % 2 else (n // 2, m)
     steps = math.gcd(length, m)
     _require_size(n, m, (steps * starts) ** 2)

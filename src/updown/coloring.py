@@ -30,13 +30,11 @@ class ColoringSpec:
     neg_shift: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.modulus, int) and isinstance(self.pos_shift, int)
-                and isinstance(self.neg_shift, int)):
-            name, value = next((name, value) for name, value in vars(self).items()
-                               if not isinstance(value, int))
-            raise ColoringError(f"{name} must be an integer, got {type(value).__name__}")
+        for name, value in vars(self).items():  # the fields, in order
+            if not isinstance(value, int):
+                raise ColoringError(f"{name} must be an integer, got {type(value).__name__}")
         if self.modulus < 1:
-            raise ColoringError(f"modulus must be >= 1, got {self.modulus}")
+            raise ColoringError("modulus must be >= 1")  # the rule, not a value too long to print
 
 
 @dataclass(frozen=True)

@@ -172,8 +172,8 @@ class Diagram:
         its first edit, or with no parent maps (as in validation) all from 0."""
         if name not in ("_over_at", "_under_at"):
             raise AttributeError(f"'Diagram' object has no attribute {name!r}")
-        (over_at, under_at), components, edits = vars(self).get("_parent") or (
-            ({}, {}), self.components, [(k, 0, 0, ()) for k in range(len(self.components))])
+        over_at, under_at, components, edits = vars(self).get("_parent") or (
+            {}, {}, self.components, [(k, 0, 0, ()) for k in range(len(self.components))])
         maps = over_at, under_at = over_at.copy(), under_at.copy()
         for k, start, stop, _ in edits:
             for pas in components[k][start:stop]:
@@ -190,18 +190,19 @@ class Diagram:
         stop, passes) of moves._edits applied from the last one back, with
         this diagram's max crossing id when known; __getattr__ builds its maps
         on first read from this diagram's maps and components and the edits."""
-        components, top = list(self.components), vars(self).get("_max_id")
+        own = vars(self)
+        components, top = list(self.components), own.get("_max_id")
         for k, start, stop, passes in reversed(edits):
             comp = components[k]
-            if passes:  # at most two; an add's fresh ids top the parent's, a swap keeps its ids
-                top = top if top is None else max(top, passes[0].crossing, passes[-1].crossing)
-            elif top in (pas.crossing for pas in comp[start:stop]):  # a removal took the max
+            if passes and top is not None and passes[0].crossing > top:  # an add: fresh ids
+                top = max(passes[0].crossing, passes[-1].crossing)  # top it; a swap's never do
+            elif not passes and top in (pas.crossing for pas in comp[start:stop]):  # a removal took it
                 top = None
             components[k] = comp[:start] + passes + comp[stop:]
         new = object.__new__(Diagram)
         vars(new).update(components=tuple(components), _max_id=top)
-        if "_over_at" in vars(self):
-            vars(new)["_parent"] = (self._over_at, self._under_at), self.components, edits
+        if "_over_at" in own:
+            vars(new)["_parent"] = own["_over_at"], own["_under_at"], own["components"], edits
         return new
 
     # -- basic queries ----------------------------------------------------

@@ -253,16 +253,16 @@ def _rescan(old: Diagram, new: Diagram, edits, kinds,
     A local descriptor's legality depends only on the passes of its pairs
     and on their adjacency.  A cached descriptor survives, at its passes'
     new positions, when each of its pairs still holds the same two Pass
-    objects: a rewrite keeps its parent's, and no step both removes and
-    re-adds an id, so identity decides what equality would; parse shares
-    only equal passes and moves build fresh ones, which keeps this true.  A
-    pair that became adjacent has both passes on touched crossings: an
-    edit's new passes and its old passes at start-1..stop (for an add, the
-    two either side of its cut, whose pair alone it breaks).  Each pair of a
-    site holds a crossing whose over pass lies in the site's first pair (RI:
-    the kink; RII: a or b; RIII: TM in the M pair, TB in the B pair),
-    touched when the pair is new, so scanning at q-1 and q, for the over
-    pass q of every touched crossing, finds every new site.
+    objects: fresh ids never occur in the parent and a diagram holds each
+    (crossing, role) once, so a new pass equal to an old one is that one and
+    identity decides what equality would, though parse and sibling adds
+    share passes.  A pair that became adjacent has both passes on touched
+    crossings: an edit's new passes and its old passes at start-1..stop (for
+    an add, the two either side of its cut, whose pair alone it breaks).
+    Each pair of a site holds a crossing whose over pass lies in the site's
+    first pair (RI: the kink; RII: a or b; RIII: TM in the M pair, TB in the
+    B pair), touched when the pair is new, so scanning at q-1 and q, for the
+    over pass q of every touched crossing, finds every new site.
     """
     touched = set()
     for k, start, stop, passes in edits:
@@ -302,7 +302,12 @@ def enumerate_moves(d: Diagram, kinds) -> list[MoveDescriptor]:
     index = _MoveIndex(d, frozenset(kinds))
     if index.total > _LISTING_BUDGET:
         raise MoveError(f"move descriptors exceed the listing budget of {_LISTING_BUDGET}")
-    return [index.descriptor(i) for i in range(index.total)]
+    # the blocks in _MoveIndex order, the add blocks straight from the arc list
+    arcs = [(k, p) for k in range(d.num_components) for p in range(d.arc_count(k))]
+    local, n = index.local, index.n_ri_remove
+    return ([MoveDescriptor(RI_ADD, v, (a,)) for a in arcs if index.ri_add for v in _RI_VARIANTS]
+            + local[:n] + [MoveDescriptor(RII_ADD, v, (a, b)) for a in arcs if index.rii_add
+                           for b in arcs if a != b for v in _RII_VARIANTS] + local[n:])
 
 
 def _require(condition: bool, message: str, *args):
@@ -324,26 +329,34 @@ def _edits(d: Diagram, mv: MoveDescriptor) -> list[tuple[int, int, int, tuple[Pa
     (k, start, stop, passes), each replacing d.components[k][start:stop] by
     passes, sorted by (k, start).  An add is (k, cut, cut, pair) per arc, a
     removal (k, p, p+2, ()) per pass pair and an RIII swap (k, p, p+2, the
-    pair swapped); a pair from the last position round to 0 is two edits."""
+    pair swapped); a pair from the last position round to 0 is two edits.
+    An add's pairs are d's, built once per layout and shared by its adds."""
     edits = []
     if mv.kind in _ADD_LAYOUTS:
+        comps, sites = d.components, mv.sites
         arcs = _ADD_LAYOUTS[mv.kind].get(mv.variant) if isinstance(mv.variant, str) else None
-        _require(arcs is not None, "bad %s variant %r", mv.kind, mv.variant)
-        _require(len(mv.sites) == len(arcs), "wrong number of sites for this add move")
-        # each site is checked inline: routing it through _site slows walk measurably
-        for k, p in mv.sites:  # a failing site goes to _site only to raise its error
-            if not (0 <= k < len(d.components) and 0 <= p < (len(d.components[k]) or 1)):
-                _site(d, (k, p), arc=True)
-        _require(len(arcs) == 1 or tuple(mv.sites[0]) != tuple(mv.sites[1]),
-                 "the sites must be distinct arcs")
-        fresh = d.max_crossing_id() + 1
-        _require(fresh + _FRESH_IDS[mv.kind] <= _ID_LIMIT, "too few fresh crossing ids below 10**4000")
-        # insert on arc p means between pass p and pass p+1, and an empty
-        # component takes the insertion as its whole sequence
-        for (k, p), ((o1, r1, s1), (o2, r2, s2)) in zip(mv.sites, arcs):
-            cut = p + 1 if d.components[k] else 0
-            edits.append((k, cut, cut, (_pass(fresh + o1, r1, s1), _pass(fresh + o2, r2, s2))))
-    elif mv.kind in _LOCAL_KINDS:
+        if arcs is None or len(sites) != len(arcs):  # checks stay inline; _require only raises
+            _require(arcs is not None, "bad %s variant %r", mv.kind, mv.variant)
+            _require(False, "wrong number of sites for this add move")
+        shared = vars(d).setdefault("_fresh", {})  # (kind, variant) -> its fresh pair per arc
+        pairs = shared.get(mv[:2])
+        if pairs is None and (fresh := d.max_crossing_id() + 1) + _FRESH_IDS[mv.kind] <= _ID_LIMIT:
+            pairs = shared.setdefault(mv[:2], tuple([  # racing first adds all take the first one
+                (_pass(fresh + o1, r1, s1), _pass(fresh + o2, r2, s2))
+                for (o1, r1, s1), (o2, r2, s2) in arcs]))
+        for (k, p), pair in zip(sites, pairs or arcs):
+            if not (0 <= k < len(comps) and 0 <= p < (len(comps[k]) or 1)):
+                _site(d, (k, p), arc=True)  # raises this site's error
+            # insert on arc p means between pass p and pass p+1; an empty component takes
+            # the pair as its whole sequence, at p (0, or a non-int that fails the splice)
+            cut = p + 1 if comps[k] else p
+            edits.append((k, cut, cut, pair))
+        if pairs is None or len(edits) == 2 and edits[1][:2] <= edits[0][:2]:  # rarely taken
+            _require(len(edits) == 1 or edits[1][:2] != edits[0][:2], "the sites must be distinct arcs")
+            _require(pairs is not None, "too few fresh crossing ids below 10**4000")
+            edits.reverse()  # two edits out of order, sorted by this one comparison
+        return edits
+    if mv.kind in _LOCAL_KINDS:
         _require(bool(mv.sites), "%s has no sites", mv.kind)
         k, p = _site(d, mv.sites[0], arc=False)
         _require(mv in _local_moves(d, {mv.kind}, k, (p,)),
@@ -356,9 +369,8 @@ def _edits(d: Diagram, mv: MoveDescriptor) -> list[tuple[int, int, int, tuple[Pa
             else:  # the pair runs from the last position round to 0
                 edits += [(k, 0, 1, (comp[p],) if swap else ()),
                           (k, p, p + 1, (comp[0],) if swap else ())]
-    else:
-        raise MoveError(f"unknown move kind {mv.kind!r}")
-    return sorted(edits)
+        return sorted(edits)
+    raise MoveError(f"unknown move kind {mv.kind!r}")
 
 
 def apply_move(d: Diagram, mv: MoveDescriptor) -> Diagram:
@@ -373,9 +385,12 @@ def apply_move(d: Diagram, mv: MoveDescriptor) -> Diagram:
     position is scanned.  A legal move's slice edits (_edits) keep one over
     and one under pass of one sign per crossing, so the result skips
     Diagram's validation: it costs the check and the splice, and builds
-    its maps when first read.
+    its maps when first read.  A malformed site, not two ints, raises too.
     """
-    return d._rewritten(_edits(d, mv))
+    try:
+        return d._rewritten(_edits(d, mv))
+    except (TypeError, ValueError) as exc:  # raised by indexing with, or printing, a bad site
+        raise MoveError(f"malformed move descriptor: {exc}") from exc
 
 
 def random_walk(d: Diagram, steps: int, kinds, seed: int

@@ -336,6 +336,12 @@ class TestTableBasics:
         with pytest.raises(ud.CocycleError, match="^both moduli must be integers$"):
             ud.cocycle_violation(ud.CocycleTable(n, m, (0,) * 8))
 
+    @pytest.mark.parametrize("n,m", [(2.0, 2), (2, 2.0), (3, "2")], ids=["n", "m", "str"])
+    def test_search_moduli_must_be_integers(self, n, m):
+        # checked before gcd, which takes only ints
+        with pytest.raises(ud.CocycleError, match="^both moduli must be integers$"):
+            ud.enumerate_shiftable(n, m)
+
     def test_entries_are_a_tuple(self):
         t = ud.CocycleTable(2, 2, [0] * 8)
         assert type(t.entries) is tuple

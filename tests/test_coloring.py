@@ -178,6 +178,12 @@ class TestSolveAndCount:
         with pytest.raises(ud.ColoringError):
             ud.ColoringSpec(0)
 
+    @pytest.mark.parametrize("modulus", [0, -3, -10**5000], ids=["zero", "negative", "huge"])
+    def test_bad_modulus_names_the_rule(self, modulus):
+        # a value of more than 4300 digits cannot be printed, so none is
+        with pytest.raises(ud.ColoringError, match="^modulus must be >= 1$"):
+            ud.ColoringSpec(modulus)
+
 
 class TestColorability:
     @pytest.mark.parametrize("i", range(0, 7))

@@ -106,9 +106,12 @@ class TestEnumerateBasics:
         assert moves == sorted(moves, key=_descriptor_key)
 
     def test_index_matches_enumeration(self):
-        # the positional sampler used by random_walk must agree exactly
-        for code in ["()", KINK, DELTA, tangle(1), "O1+ U1+ ; ()", TREFOIL]:
-            d = ud.parse(code)
+        # the positional sampler used by random_walk must agree exactly, also
+        # where the largest id leaves room for an RI-add but not an RII-add
+        top = 10**4000 - 2
+        diagrams = [ud.parse(code) for code in ["()", KINK, DELTA, tangle(1), "O1+ U1+ ; ()", TREFOIL]]
+        diagrams.append(ud.Diagram(((ud.Pass(top, ud.OVER, 1), ud.Pass(top, ud.UNDER, 1)), ())))
+        for d in diagrams:
             for kinds in [ALL_KINDS, RI_KINDS, {ud.RII_ADD, ud.RII_REMOVE}]:
                 index = _MoveIndex(d, kinds)
                 listed = [index.descriptor(i) for i in range(index.total)]
@@ -312,8 +315,14 @@ FUZZ_FIXTURES = [ud.parse(code) for code in (
     ud.Diagram((tuple(top + mid), tuple(low)))
     for top, mid, low in map(riii_strands, sorted(_RIII_ROWS)[1::5])]
 
-_SITE = st.tuples(st.integers(-2, 12), st.integers(-2, 12))
-_SITES = st.lists(_SITE, max_size=3).map(tuple)
+_INDEX = st.integers(-2, 12)
+# malformed sites: the wrong length, or a float or str component or position
+_BAD_SITE = st.one_of(st.tuples(_INDEX), st.tuples(_INDEX, _INDEX, _INDEX),
+                      st.tuples(_INDEX.map(float), _INDEX), st.tuples(_INDEX, st.floats(-2, 12)),
+                      st.tuples(_INDEX.map(str), _INDEX), st.tuples(_INDEX, _INDEX.map(str)))
+_PAIR = st.tuples(_INDEX, _INDEX)
+_SITE = st.one_of(_PAIR, _PAIR, _PAIR, _BAD_SITE)  # one in four malformed
+_SITES = st.one_of(st.lists(_SITE, max_size=3).map(tuple), st.none())
 _VARIANTS = st.sampled_from(_RI_VARIANTS + _RII_VARIANTS + tuple(range(10)) + ("", "x", None))
 _JUNK = st.builds(ud.MoveDescriptor, st.sampled_from(sorted(ALL_KINDS) + ["RIV"]),
                   _VARIANTS, _SITES)
@@ -329,10 +338,25 @@ def _near(mv):
     )
 
 
+def _int_pairs(sites) -> bool:
+    """Whether fuzzed sites are well formed: (component, position) int pairs."""
+    return sites is not None and all(
+        len(site) == 2 and all(isinstance(v, int) for v in site) for site in sites)
+
+
+def _outcome(d, mv):
+    """apply_move's result as text, or its MoveError's message."""
+    try:
+        return ud.serialize(ud.apply_move(d, mv))
+    except ud.MoveError as exc:
+        return f"MoveError: {exc}"
+
+
 class TestApplyFuzz:
     @given(st.data())
     @settings(max_examples=600, deadline=None)
     def test_applies_or_raises_move_error(self, data):
+        # the fixtures keep their shared fresh passes from example to example
         d = data.draw(st.sampled_from(FUZZ_FIXTURES))
         legal = ud.enumerate_moves(d, {data.draw(st.sampled_from(sorted(ALL_KINDS)))})
         if legal:
@@ -342,13 +366,75 @@ class TestApplyFuzz:
             mv = data.draw(_JUNK)
         try:
             out = ud.apply_move(d, mv)
-        except ud.MoveError:
-            out = None
+        except ud.MoveError as exc:
+            out, text = None, f"MoveError: {exc}"
         else:
-            assert ud.parse(ud.serialize(out)) == out
+            text = ud.serialize(out)
+            assert ud.parse(text) == out
             assert_indexed(out)
-        if mv.kind in LOCAL_KINDS:
+        if not _int_pairs(mv.sites):
+            assert out is None
+        elif mv.kind in LOCAL_KINDS:
             assert (out is not None) == (mv in ud.enumerate_moves(d, {mv.kind}))
+        # a copy that has built no fresh pass yet decides alike, with the same message
+        assert _outcome(ud.Diagram(d.components), mv) == text
+
+
+class TestMalformedDescriptors:
+    """apply_move raises only MoveError, whatever a descriptor's sites hold."""
+
+    @pytest.mark.parametrize("code,kind,sites", [
+        (DELTA, ud.RI_ADD, ((0,),)),
+        (DELTA, ud.RI_ADD, ((0, 1, 2),)),
+        (DELTA, ud.RI_ADD, ((0.0, 1),)),
+        (DELTA, ud.RI_ADD, (("0", 1),)),
+        (DELTA, ud.RI_ADD, None),
+        (DELTA, ud.RII_ADD, ((0, 0), (0, 1.0))),
+        (DELTA, ud.RII_ADD, ((0, 0), (0, 10**5000))),  # a position too long to print
+        ("()", ud.RI_ADD, ((0, 0.0),)),  # an empty component's one arc, as a float
+        (KINK, ud.RI_REMOVE, ((0, 1.5),)),
+        (KINK, ud.RI_REMOVE, ((0, "1"),)),
+        (KINK, ud.RI_REMOVE, ((0,),)),
+        ("O1+ O2- ; U1+ U2-", ud.RII_REMOVE, ((0, 0), (1, 0.0))),  # equal to a legal one
+        ("O2- O3+ U3+ U1+ U2- O1+", ud.RII_REMOVE, ((0, 5), (0, 3.0))),  # round the end
+    ], ids=["one-int", "three-ints", "float-component", "str-component", "no-sites",
+            "float-position", "huge-position", "float-on-empty", "fraction", "str-position",
+            "remove-one-int", "equal-float", "equal-float-round-the-end"])
+    def test_raises_move_error(self, code, kind, sites):
+        variant = {ud.RI_ADD: "OU+", ud.RII_ADD: "parallel+", ud.RI_REMOVE: "OU+",
+                   ud.RII_REMOVE: "parallel+"}[kind]
+        with pytest.raises(ud.MoveError):
+            ud.apply_move(ud.parse(code), ud.MoveDescriptor(kind, variant, sites))
+
+    def test_bools_are_ints(self):
+        d = ud.parse(DELTA)
+        for kind, variant, sites in [(ud.RI_ADD, "UO-", ((False, True),)),
+                                     (ud.RII_ADD, "antiparallel+", ((False, True), (0, 3)))]:
+            as_ints = tuple((int(k), int(p)) for k, p in sites)
+            assert (ud.apply_move(d, ud.MoveDescriptor(kind, variant, sites))
+                    == ud.apply_move(d, ud.MoveDescriptor(kind, variant, as_ints)))
+
+    # (variant, sites, message) of RII-adds to a one-kink knot, each also
+    # breaking every rule after its own; the rules are checked in this order
+    ADD_RULES = [
+        ("OU+", ((0, 1), (0, 1)), "bad RII-add variant 'OU+'"),
+        ("parallel+", ((0, 1),), "wrong number of sites for this add move"),
+        ("parallel+", ((1, 0), (0, 2)), "no component 1"),
+        ("parallel+", ((0, 2), (0, 2)), "position 2 out of range in component 0"),
+        ("parallel+", ((0, 1), (0, 1)), "the sites must be distinct arcs"),
+        ("parallel+", ((0, 1), (0, 0)), "too few fresh crossing ids below 10**4000"),
+    ]
+
+    @pytest.mark.parametrize("top", [1, 10**4000 - 1], ids=["room", "no-room"])
+    def test_add_rules_keep_their_order(self, top):
+        d = ud.Diagram(((ud.Pass(top, ud.OVER, 1), ud.Pass(top, ud.UNDER, 1)),))
+        if top == 1:  # the parallel+ pairs are built and shared before the bad adds
+            ud.apply_move(d, ud.MoveDescriptor(ud.RII_ADD, "parallel+", ((0, 0), (0, 1))))
+        for variant, sites, message in self.ADD_RULES[:None if top > 1 else -1]:
+            mv = ud.MoveDescriptor(ud.RII_ADD, variant, sites)
+            with pytest.raises(ud.MoveError) as raised:
+                ud.apply_move(d, mv)
+            assert str(raised.value) == f"stale or invalid move descriptor: {message}"
 
 
 class TestRandomWalk:
@@ -641,6 +727,82 @@ class TestLazyMaps:
                 assert len(seen) == 4
                 assert all(a is b for maps in seen for a, b in zip(maps, seen[0]))
                 assert seen[0] == (full._under_at, full._over_at)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestSharedFreshPasses:
+    """An add's fresh passes depend only on its parent's largest id and its
+    layout, so each parent builds them once per layout and its add results
+    share them; identity must still decide what equality would."""
+
+    def test_siblings_share_fresh_passes(self):
+        d = ud.parse(random_link_code(random.Random(4), 2, 8, 2))
+        top, seen = d.max_crossing_id(), {}
+        for mv in ud.enumerate_moves(d, {ud.RI_ADD, ud.RII_ADD}):
+            out = ud.apply_move(d, mv)
+            fresh = sorted((pas for comp in out.components for pas in comp if pas.crossing > top),
+                           key=lambda pas: (pas.crossing, pas.role))
+            first = seen.setdefault((mv.kind, mv.variant), fresh)
+            assert len(fresh) == 2 * moves._FRESH_IDS[mv.kind]
+            assert all(a is b for a, b in zip(fresh, first)), mv
+        assert len(seen) == 8
+
+    @pytest.mark.parametrize("kind,variant", [(ud.RI_ADD, "OU-"), (ud.RII_ADD, "antiparallel+")])
+    def test_walks_from_siblings(self, kind, variant):
+        # two results holding the same fresh pass objects walk as their reparsed copies do
+        d = ud.parse(TREFOIL)
+        sites = [((0, 0), (0, 3)), ((0, 4), (0, 1))] if kind == ud.RII_ADD else [((0, 0),), ((0, 4),)]
+        siblings = [ud.apply_move(d, ud.MoveDescriptor(kind, variant, s)) for s in sites]
+        for seed, sibling in enumerate(siblings):
+            walk = ud.random_walk(sibling, 40, ALL_KINDS, seed)
+            assert walk == ud.random_walk(ud.parse(ud.serialize(sibling)), 40, ALL_KINDS, seed)
+            for _, step in walk:
+                assert_indexed(step)
+
+    def test_sweep_builds_each_layout_once(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return ud.Pass(*args)
+
+        monkeypatch.setattr(moves, "_pass", counted)
+        # 8 passes for the four RI-add layouts and 16 for the four RII-add ones;
+        # an id of 10**4000 - 2 leaves room for the RI-adds alone
+        top = 10**4000 - 2
+        for d, count in [(ud.parse(random_link_code(random.Random(5), 2, 8, 2)), 24),
+                         (ud.Diagram(((ud.Pass(top, ud.OVER, 1), ud.Pass(top, ud.UNDER, 1)),)), 8)]:
+            for _ in range(2):  # a second sweep of the same parent builds none
+                for mv in ud.enumerate_moves(d, ALL_KINDS):
+                    ud.apply_move(d, mv)
+                assert len(built) == count
+            built.clear()
+
+    def test_threads_add_to_one_parent(self):
+        mv = ud.MoveDescriptor(ud.RII_ADD, "parallel-", ((0, 0), (0, 5)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often inside the first adds
+        try:
+            for _ in range(5):
+                d, start, seen = ud.parse(TREFOIL), threading.Barrier(4), []
+
+                def add():
+                    start.wait(timeout=60)
+                    seen.append(ud.apply_move(d, mv))
+
+                threads = [threading.Thread(target=add) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert len(seen) == 4
+                # every result took the one published pair per arc
+                pairs = vars(d)["_fresh"][mv[:2]]
+                for out in seen:
+                    assert out.components[0][1:3] == pairs[0] and out.components[0][1] is pairs[0][0]
+                    assert_indexed(out)
         finally:
             sys.setswitchinterval(interval)
 
