@@ -66,8 +66,8 @@ class CocycleTable:
         """Shiftable table with f(a, b, eps) = h_eps((a - b) mod n)."""
         if len(plus) != n or len(minus) != n:
             raise CocycleError("difference tables must have length n")
-        rows = {1: plus, -1: minus}
-        return cls.from_function(n, m, lambda a, b, s: rows[s][(a - b) % n])
+        return cls(n, m, tuple(h[(a - b) % n] % m for h in (plus, minus)
+                               for a in range(n) for b in range(n)))
 
     @classmethod
     def zero(cls, n: int, m: int) -> "CocycleTable":
@@ -270,9 +270,9 @@ def builtin_table(name: str) -> CocycleTable:
 def parse_table(text: str) -> CocycleTable:
     """Read the table file format.
 
-    First line "n=<n> m=<m>", then one line "<a> <b> <+|-> <value>" per
-    entry; all 2*n*n entries must appear exactly once.  A header asking for
-    more than 10**7 entries raises BudgetExceededError before any entry is read.
+    First line "n=<n> m=<m>", then a line "<a> <b> <+|-> <value>" for each of
+    the 2*n*n entries, once, in any order; blank lines are skipped, values are
+    reduced mod m, and a header over 10**7 entries raises BudgetExceededError.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -282,7 +282,7 @@ def parse_table(text: str) -> CocycleTable:
         raise CocycleError(f"bad header line {lines[0]!r}; expected 'n=<n> m=<m>'")
     n, m = _modulus(header.group(1)), _modulus(header.group(2))
     _require_size(n, m, 1)
-    seen: dict[tuple[int, int, int], int] = {}
+    seen: dict[int, int] = {}  # flat entry index -> value
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 4 or parts[2] not in ("+", "-"):
@@ -293,21 +293,16 @@ def parse_table(text: str) -> CocycleTable:
             raise CocycleError(f"bad entry line {ln!r}") from None
         if not (0 <= a < n and 0 <= b < n):
             raise CocycleError(f"entry ({a}, {b}) outside Z_{n} in line {ln!r}")
-        key = (a, b, 1 if parts[2] == "+" else -1)
+        key = (parts[2] == "-") * n * n + a * n + b
         if key in seen:
             raise CocycleError(f"duplicate entry for ({a}, {b}, {parts[2]})")
         seen[key] = v % m
-    missing = 2 * n * n - len(seen)
-    if missing:
-        raise CocycleError(f"{missing} entries missing from cocycle file")
-    return CocycleTable.from_function(n, m, lambda a, b, s: seen[(a, b, s)])
+    if len(seen) < 2 * n * n:
+        raise CocycleError(f"{2 * n * n - len(seen)} entries missing from cocycle file")
+    return CocycleTable(n, m, tuple(map(seen.__getitem__, range(2 * n * n))))
 
 
 def format_table(t: CocycleTable) -> str:
     """Inverse of parse_table, entries sign-major and row-major."""
-    lines = [f"n={t.n} m={t.m}"]
-    for sign in SIGNS:
-        for a in range(t.n):
-            for b in range(t.n):
-                lines.append(f"{a} {b} {'+' if sign > 0 else '-'} {t.value(a, b, sign)}")
-    return "\n".join(lines) + "\n"
+    keys = (f"{a} {b} {s}" for s in "+-" for a in range(t.n) for b in range(t.n))
+    return "\n".join([f"n={t.n} m={t.m}", *[f"{k} {v}" for k, v in zip(keys, t.entries)]]) + "\n"

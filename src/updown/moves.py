@@ -171,7 +171,7 @@ def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
             # M runs under TM then over MB, or over MB then under TM
             for m_first, anchor_m, other in (("TM", pu, nxt), ("MB", prv, prv)):
                 mb_pass = mid[other]
-                if other == pu or mb_pass.role != OVER or mb_pass.crossing in (tm, tb):
+                if mb_pass.role != OVER or mb_pass.crossing in (tm, tb):
                     continue
                 k_low, p_tb = under_at[tb]
                 k_low2, p_mb = under_at[mb_pass.crossing]
@@ -311,8 +311,10 @@ def enumerate_moves(d: Diagram, kinds) -> list[MoveDescriptor]:
 
 
 def _require(condition: bool, message: str, *args):
-    # every applied move passes here, so message % args is built only on failure
+    # every applied move passes here, so message % args is built only on failure;
+    # an int past 14,000 bits, near str()'s 4,300-digit limit, shows as "..."
     if not condition:
+        args = tuple("..." if isinstance(a, int) and a.bit_length() > 14_000 else a for a in args)
         raise MoveError(f"stale or invalid move descriptor: {message % args}")
 
 

@@ -8,8 +8,9 @@ filtering every difference table through the nine conditions, condition
 violations by evaluating every identity at every point, local move
 sites by trying every pair or triple of adjacent pass pairs, add moves
 by placing the inserted passes while walking the unmodified components,
-the first validation error by checking the diagram rules in order, and
-Gauss-code text by walking its tokens one at a time.
+the first validation error by checking the diagram rules in order,
+Gauss-code text by walking its tokens one at a time, and table text by
+keying each entry by its (a, b, sign) triple.
 They are only usable on small inputs, which is what the frozen expected
 values are derived from.
 """
@@ -436,6 +437,53 @@ def reference_parse(text: str) -> ud.Diagram:
             passes.append(ud.Pass(crossing, m.group(1), 1 if m.group(3) == "+" else -1))
         components.append(tuple(passes))
     return ud.Diagram(tuple(components))
+
+
+_REF_HEADER_RE = re.compile(r"n=(\d+)\s+m=(\d+)\Z")
+
+
+def _reference_modulus(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ud.CocycleError(f"modulus with {len(digits)} digits is too large") from None
+
+
+def reference_parse_table(text: str) -> ud.CocycleTable:
+    """ud.parse_table as it read tables before entries were keyed by their
+    flat index: each entry is keyed by its (a, b, sign) triple and the table
+    is rebuilt through CocycleTable.from_function.  It raises the same
+    CocycleError and BudgetExceededError messages in the same order."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise ud.CocycleError("empty cocycle file")
+    header = _REF_HEADER_RE.match(lines[0])
+    if header is None:
+        raise ud.CocycleError(f"bad header line {lines[0]!r}; expected 'n=<n> m=<m>'")
+    n, m = _reference_modulus(header.group(1)), _reference_modulus(header.group(2))
+    if n < 1 or m < 1:
+        raise ud.CocycleError("both moduli must be >= 1")
+    if 2 * n * n > 10_000_000:
+        raise ud.BudgetExceededError("table entries exceed the output budget of 10000000")
+    seen: dict[tuple[int, int, int], int] = {}
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 4 or parts[2] not in ("+", "-"):
+            raise ud.CocycleError(f"bad entry line {ln!r}; expected '<a> <b> <+|-> <value>'")
+        try:
+            a, b, v = int(parts[0]), int(parts[1]), int(parts[3])
+        except ValueError:
+            raise ud.CocycleError(f"bad entry line {ln!r}") from None
+        if not (0 <= a < n and 0 <= b < n):
+            raise ud.CocycleError(f"entry ({a}, {b}) outside Z_{n} in line {ln!r}")
+        key = (a, b, 1 if parts[2] == "+" else -1)
+        if key in seen:
+            raise ud.CocycleError(f"duplicate entry for ({a}, {b}, {parts[2]})")
+        seen[key] = v % m
+    missing = 2 * n * n - len(seen)
+    if missing:
+        raise ud.CocycleError(f"{missing} entries missing from cocycle file")
+    return ud.CocycleTable.from_function(n, m, lambda a, b, s: seen[(a, b, s)])
 
 
 def fast_phi(d: ud.Diagram, table: ud.CocycleTable) -> tuple[int, ...]:

@@ -1,0 +1,47 @@
+"""Textual mutants of the library, each of which some test must kill.
+
+Each entry is (file, old, new, test files, reason): `file` is relative to
+src/, `old` must occur in it exactly once and is replaced by `new`, and
+running `pytest -x` on the test files (relative to the repository root)
+against the mutated copy must fail.  test_mutants.py applies them one at a
+time to a copy of src/; run it with `pytest -m slow tests/test_mutants.py`.
+A mutant that no test kills either shows a missing test or, when it is
+equivalent to the original, code that can be deleted.
+"""
+
+COCYCLE = "updown/cocycle.py"
+COLORING = "updown/coloring.py"
+DIAGRAM = "updown/diagram.py"
+INVARIANT = "updown/invariant.py"
+MOVES = "updown/moves.py"
+
+MUTANTS = [
+    # parse_table: one mutant per check
+    (COCYCLE, "        if not (0 <= a < n and 0 <= b < n):\n", "        if False:\n",
+     ["tests/test_cocycle.py"], "parse_table without its range check"),
+    (COCYCLE, "        if key in seen:\n", "        if False:\n",
+     ["tests/test_cocycle.py"], "parse_table without its duplicate check"),
+    (COCYCLE, "    if len(seen) < 2 * n * n:\n", "    if False:\n",
+     ["tests/test_cocycle.py"], "parse_table without its missing-entry count"),
+    (COCYCLE, 'key = (parts[2] == "-")', 'key = (parts[2] == "+")',
+     ["tests/test_cocycle.py"], "parse_table reading + entries into the - block"),
+    (COCYCLE, "seen[key] = v % m", "seen[key] = v",
+     ["tests/test_cocycle.py"], "parse_table keeping values unreduced"),
+    # moves
+    (MOVES, "if k_under2 == k_under and (start + 1)", "if (start + 1)",
+     ["tests/test_moves.py"], "RII-remove without its same-component test"),
+    (MOVES, '("TB", "MB", "MB", -1, -1, -1): 2,', '("TB", "MB", "MB", -1, -1, -1): 3,',
+     ["tests/test_moves.py"], "one _RIII_ROWS variant changed"),
+    (MOVES, "        touched.update(pas.crossing for pas in passes)\n", "",
+     ["tests/test_moves.py"], "_rescan skipping an edit's new passes"),
+    # invariants, colorings and diagrams
+    (INVARIANT, "yield ku, (pu - 1) % len(comps[ku]), ko, po, 1", "yield ku, pu, ko, po, 1",
+     ["tests/test_invariant.py"], "_weight_sites reading the wrong under arc"),
+    (INVARIANT, "RiiBound((abs(g1 - g2) + 1) // 2, CERT_MAXORD",
+     "RiiBound(abs(g1 - g2) // 2, CERT_MAXORD",
+     ["tests/test_invariant.py"], "the maxord bound rounding down"),
+    (COLORING, "        return 0\n    count = _power_within", "        return 1\n    count = _power_within",
+     ["tests/test_coloring.py"], "count_colorings returning 1 for an uncolorable diagram"),
+    (DIAGRAM, "and isinstance(x, int) and isinstance(u.crossing, int)", "and isinstance(x, int)",
+     ["tests/test_diagram.py"], "Diagram without its under-id int check"),
+]

@@ -5,13 +5,16 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import updown as ud
 from updown.cocycle import SIGNS, _scan_violation
-from helpers import brute_shiftable, brute_violation
+from helpers import brute_shiftable, brute_violation, reference_parse_table
 
 
 def random_table(rng, n, m):
@@ -305,6 +308,63 @@ class TestFileFormat:
         t = ud.parse_table(text)
         assert t.value(0, 0, 1) == 1
         assert t.value(0, 0, -1) == 2
+
+    def test_missing_count_keeps_memory_to_the_file(self):
+        # a header of 9999392 entries and one entry line: a table-sized buffer would show
+        tracemalloc.start()
+        try:
+            with pytest.raises(ud.CocycleError,
+                               match="^9999391 entries missing from cocycle file$"):
+                ud.parse_table("n=2236 m=2\n0 0 + 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+def _table_outcome(parse, text):
+    try:
+        return parse(text)
+    except ud.CocycleError as exc:  # BudgetExceededError included
+        return type(exc), str(exc)
+
+
+# one bad line each: five fields, a two-character or unknown sign, a non-int
+# value or argument, and arguments outside Z_n ({n} is the table's n)
+_BAD_ENTRY_LINES = ["0 0 + 1 1", "0 0 +- 1", "0 0 * 1", "0 0 + x", "x 0 - 1",
+                    "{n} 0 + 0", "0 -1 - 1", "0 {n} - 2"]
+
+
+@st.composite
+def table_texts(draw):
+    """A table's text with its entry lines shuffled, blank lines put in, values
+    outside [0, m), and at most one fault: a duplicated or dropped entry line, a
+    bad line (also before a dropped one), or the text cut off at some point."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    lines = draw(st.permutations([f"{a} {b} {s} {draw(st.integers(-9, 20))}"
+                                  for s in "+-" for a in range(n) for b in range(n)]))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    fault = draw(st.sampled_from(["none", "duplicate", "drop", "bad", "bad-then-drop", "cut"]))
+    if fault == "duplicate":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    if fault in ("drop", "bad-then-drop"):
+        lines.pop(draw(st.integers(0, len(lines) - 1)))
+    if fault in ("bad", "bad-then-drop"):
+        bad = draw(st.sampled_from(_BAD_ENTRY_LINES)).format(n=n)
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    text = "\n".join([f"n={n} m={m}", *lines]) + "\n"
+    return text[:draw(st.integers(0, len(text)))] if fault == "cut" else text
+
+
+@given(st.one_of(table_texts(), st.text(max_size=30)))
+@settings(max_examples=400, deadline=None)
+def test_parse_table_agrees_with_reference(text):
+    # the same table, or the same error type and text, first failed check first
+    outcome = _table_outcome(ud.parse_table, text)
+    assert outcome == _table_outcome(reference_parse_table, text)
+    if isinstance(outcome, ud.CocycleTable):
+        assert ud.format_table(outcome) == ud.format_table(reference_parse_table(text))
 
 
 class TestTableBasics:

@@ -277,6 +277,14 @@ class TestMaxordBound:
         b = ud.rii_bound_maxord(ud.parse(tangle(i)), ud.parse(tangle(j)))
         assert b.bound == abs(i - j)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_odd_difference_rounds_up(self, k):
+        # k crossings with one strand over at all of them: maxord k, against 0
+        over = " ".join(f"O{j}+" for j in range(1, k + 1))
+        under = " ".join(f"U{j}+" for j in range(1, k + 1))
+        b = ud.rii_bound_maxord(ud.parse(f"{over} ; {under}"), ud.parse(tangle(0)))
+        assert str(b) == f"bound={(k + 1) // 2} certificate=maxord-difference detail=|{k}-0|/2"
+
     def test_identical(self):
         d = ud.parse(tangle(3))
         assert ud.rii_bound_maxord(d, d).bound == 0

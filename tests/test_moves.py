@@ -406,6 +406,19 @@ class TestMalformedDescriptors:
         with pytest.raises(ud.MoveError):
             ud.apply_move(ud.parse(code), ud.MoveDescriptor(kind, variant, sites))
 
+    @pytest.mark.parametrize("kind,sites,message", [
+        (ud.RII_ADD, ((0, 0), (0, 10**5000)), "position ... out of range in component 0"),
+        (ud.RII_ADD, ((0, 0), (10**5000, 0)), "no component ..."),
+        (ud.RI_REMOVE, ((0, -10**5000),), "position ... out of range in component 0"),
+        (ud.RI_REMOVE, ((-10**5000, 0),), "no component ..."),
+    ], ids=["huge-position", "huge-component", "remove-huge-position", "remove-huge-component"])
+    def test_huge_site_names_its_rule(self, kind, sites, message):
+        # an int past str()'s digit limit is shown as "...", not as Python's limit error
+        variant = "parallel+" if kind == ud.RII_ADD else "OU+"
+        with pytest.raises(ud.MoveError) as raised:
+            ud.apply_move(ud.parse(DELTA), ud.MoveDescriptor(kind, variant, sites))
+        assert str(raised.value) == f"stale or invalid move descriptor: {message}"
+
     def test_bools_are_ints(self):
         d = ud.parse(DELTA)
         for kind, variant, sites in [(ud.RI_ADD, "UO-", ((False, True),)),
