@@ -21,6 +21,7 @@ curve with the single semi-arc 0.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -39,6 +40,7 @@ _CODE_RE = re.compile(rf"\s*{_COMPONENT}(?:\s+;\s+{_COMPONENT})*\s*")
 # _POSITIONS[k][p] is the (k, p) every map shares, so indexing allocates no tuple; a row
 # grows by replacement, never in place, so a racing reader still holds a valid row
 _POSITIONS: dict[int, tuple[tuple[int, int], ...]] = {}
+_LABELLED_FROM = 128  # passes; a shorter component keeps positions in its maps
 _TOKEN_PASSES: dict[str, Pass] = {}  # parse's shared Pass per token of up to 8 chars (ids < 10**6)
 _TOKEN_PASSES_CAP = 2**14  # 2.6 MiB when full; racing parsers may each add one past it
 
@@ -167,21 +169,48 @@ class Diagram:
             _raise_validation_error(components)
 
     def __getattr__(self, name):
-        """A rewrite result's maps, built on first read: its parent's less the
-        passes its edits replaced, with each edited component re-indexed from
-        its first edit, or with no parent maps (as in validation) all from 0."""
-        if name not in ("_over_at", "_under_at"):
+        """A rewrite result's maps, built on first read from its parent's.  An
+        edit of a long component deletes the entries of the passes it takes
+        out and writes those of the passes it puts in, at order labels that
+        leave every other entry as it is (_labels).  Positions are written
+        instead for a short component, from its first edit, for one whose
+        labels ran out, and with no parent maps (as in validation) for all."""
+        if name not in ("_over_at", "_under_at", "_labels"):
             raise AttributeError(f"'Diagram' object has no attribute {name!r}")
-        over_at, under_at, components, edits = vars(self).get("_parent") or (
-            {}, {}, self.components, [(k, 0, 0, ()) for k in range(len(self.components))])
+        parent = vars(self).get("_parent")
+        over_at, under_at, components, labels, edits = parent or ({}, {}, (), {}, ())
         maps = over_at, under_at = over_at.copy(), under_at.copy()
         for k, start, stop, _ in edits:
             for pas in components[k][start:stop]:
                 del (over_at if pas.role == OVER else under_at)[pas.crossing]
-        for k, start in {k: start for k, start, _, _ in reversed(edits)}.items():
+        # k -> where component k is indexed anew from: each with no parent maps, and a
+        # short one, whose positions cost less to write than labels cost to read
+        indexed, rows = {} if parent else dict.fromkeys(range(len(self.components)), 0), {}
+        for k, start, stop, passes in reversed(edits):  # the last first, so starts hold
+            if len(components[k]) < _LABELLED_FROM:
+                indexed[k] = 0 if k in labels else start
+                continue
+            if k not in rows:
+                rows[k] = list(labels.get(k) or range(len(components[k])))
+            row = rows[k]
+            new = row[start:stop]  # a swap's passes take its slots' labels
+            if start == stop:  # an add's pair goes between its neighbours' labels, or past the last
+                lo = row[start - 1] if start else -1
+                hi = row[start] if start < len(row) else lo + 3
+                row[start:start] = new = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                if not lo < new[0] < new[1] < hi:  # no float fits
+                    indexed[k] = 0
+            elif not passes:  # a removal's slots go
+                del row[start:stop]
+            for pas, label in zip(passes, new):
+                (over_at if pas.role == OVER else under_at)[pas.crossing] = k, label
+        labels = {**labels, **rows}
+        for k, start in indexed.items():
+            labels.pop(k, None)
             _map_roles(maps, self.components, k, start)
-        for key, built in zip(("_over_at", "_under_at"), maps):
-            vars(self).setdefault(key, built)  # racing readers built equal maps; the first stays
+        # racing readers build equal maps; the first published stays, its labels first
+        for key, built in zip(("_labels", "_over_at", "_under_at"), (labels, *maps)):
+            vars(self).setdefault(key, built)
         vars(self).pop("_parent", None)  # frees the parent's maps; a later racer builds anew
         return vars(self)[name]
 
@@ -202,7 +231,8 @@ class Diagram:
         new = object.__new__(Diagram)
         vars(new).update(components=tuple(components), _max_id=top)
         if "_over_at" in own:
-            vars(new)["_parent"] = own["_over_at"], own["_under_at"], own["components"], edits
+            vars(new)["_parent"] = (own["_over_at"], own["_under_at"], own["components"],
+                                    own["_labels"], edits)
         return new
 
     # -- basic queries ----------------------------------------------------
@@ -228,13 +258,13 @@ class Diagram:
     def over_position(self, crossing: int) -> tuple[int, int]:
         """(component, position) of the over pass of a crossing."""
         try:
-            return self._over_at[crossing]
+            return _positions(self, self._over_at)[crossing]
         except KeyError:
             raise ValidationError(f"no crossing {crossing} in this diagram") from None
 
     def under_position(self, crossing: int) -> tuple[int, int]:
         self.over_position(crossing)
-        return self._under_at[crossing]
+        return _positions(self, self._under_at)[crossing]
 
     def is_self_crossing(self, crossing: int) -> bool:
         """True when both passes of the crossing lie in one component."""
@@ -247,6 +277,29 @@ class Diagram:
         if vars(self).get("_max_id") is None:  # computed once per diagram, on first use
             vars(self)["_max_id"] = max(self._over_at, default=0)
         return self._max_id
+
+
+class _Positions:
+    """A labelled diagram's map read as crossing -> (component, position): a
+    label's position is its index in its component's label list."""
+
+    __slots__ = ("at", "rows")
+
+    def __init__(self, at, rows):
+        self.at, self.rows = at, rows
+
+    def __getitem__(self, x):
+        k, label = at = self.at[x]
+        row = self.rows.get(k)
+        return at if row is None else (k, bisect_left(row, label))
+
+    def items(self):
+        return ((x, self[x]) for x in self.at)
+
+
+def _positions(d: Diagram, at):
+    """d._over_at or d._under_at (at) as crossing -> (component, position)."""
+    return _Positions(at, d._labels) if d._labels else at
 
 
 def parse(text: str) -> Diagram:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cocycle import CocycleTable, check_shiftable_system, cocycle_violation
 from .coloring import Coloring, ColoringSpec, _component_offsets, _require_total, maxord, solve_colorings
-from .diagram import Diagram
+from .diagram import Diagram, _positions
 from .errors import UpDownError
 
 CERT_MAXORD = "maxord-difference"
@@ -57,7 +57,7 @@ class RiiBound:
 def _weight_sites(d: Diagram, overs):
     """(under comp, under arc, over comp, over arc, sign) that crossing_weight
     reads at each (crossing, over position) of overs."""
-    comps, under_at = d.components, d._under_at
+    comps, under_at = d.components, _positions(d, d._under_at)
     for x, (ko, po) in overs:
         ku, pu = under_at[x]
         if comps[ko][po].sign > 0:
@@ -72,7 +72,7 @@ def _weight_sums(d: Diagram, colorings, table: CocycleTable) -> list[int]:
     colors are offsets mod n and a crossing's class (components, offsets read,
     sign) fixes its weight.  Each component pair's classes are priced once per
     base-color pair that occurs; a coloring then costs one lookup per pair."""
-    value, m, sites = table.value, table.m, _weight_sites(d, d._over_at.items())
+    value, m, sites = table.value, table.m, _weight_sites(d, _positions(d, d._over_at).items())
     if len(colorings) < 2:
         return [sum(value(colors[ku][au], colors[ko][ao], s) for ku, au, ko, ao, s in sites) % m
                 for colors in colorings]

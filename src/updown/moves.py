@@ -41,7 +41,7 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple
 
-from .diagram import _ID_LIMIT, OVER, UNDER, Diagram, Pass, _pass
+from .diagram import _ID_LIMIT, OVER, UNDER, Diagram, Pass, _pass, _positions
 from .errors import UpDownError
 
 RI_ADD = "RI-add"
@@ -137,7 +137,7 @@ def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
     poke and as the T pair of a triple slide.
     """
     components = d.components
-    under_at = d._under_at  # bulk scan; ids are known valid
+    under_at = _positions(d, d._under_at)  # bulk scan; ids are known valid
     comp = components[k]
     size = len(comp)
     out = []
@@ -152,10 +152,10 @@ def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
             continue
         if a.role != OVER or b.role != OVER:
             continue
+        under_a, under_b = under_at[a.crossing], under_at[b.crossing]  # read once, for both kinds
         # this adjacency test and B's below stay inline: a shared helper slows walk measurably
         if RII_REMOVE in kinds and a.sign == -b.sign:
-            k_under, p_a = under_at[a.crossing]
-            k_under2, p_b = under_at[b.crossing]
+            (k_under, p_a), (k_under2, p_b) = under_a, under_b
             # the under passes of a then b (parallel), or of b then a; both on two passes
             for pattern, start, after in (("parallel", p_a, p_b), ("antiparallel", p_b, p_a)):
                 if k_under2 == k_under and (start + 1) % len(components[k_under]) == after:
@@ -163,9 +163,9 @@ def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
                         RII_REMOVE, f"{pattern}{_sign_char(a.sign)}", ((k, p), (k_under, start))))
         if RIII not in kinds:
             continue
-        for t_first, tm_pass, tb_pass in (("TM", a, b), ("TB", b, a)):
+        for t_first, tm_pass, tb_pass, (k_mid, pu), (k_low, p_tb) in (
+                ("TM", a, b, under_a, under_b), ("TB", b, a, under_b, under_a)):
             tm, tb = tm_pass.crossing, tb_pass.crossing
-            k_mid, pu = under_at[tm]
             mid = components[k_mid]
             nxt, prv = (pu + 1) % len(mid), (pu - 1) % len(mid)
             # M runs under TM then over MB, or over MB then under TM
@@ -173,7 +173,6 @@ def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
                 mb_pass = mid[other]
                 if mb_pass.role != OVER or mb_pass.crossing in (tm, tb):
                     continue
-                k_low, p_tb = under_at[tb]
                 k_low2, p_mb = under_at[mb_pass.crossing]
                 if k_low2 != k_low:
                     continue
@@ -251,38 +250,45 @@ def _rescan(old: Diagram, new: Diagram, edits, kinds,
     slice edits (_edits) that turned old into new.
 
     A local descriptor's legality depends only on the passes of its pairs
-    and on their adjacency.  A cached descriptor survives, at its passes'
-    new positions, when each of its pairs still holds the same two Pass
-    objects: fresh ids never occur in the parent and a diagram holds each
-    (crossing, role) once, so a new pass equal to an old one is that one and
-    identity decides what equality would, though parse and sibling adds
-    share passes.  A pair that became adjacent has both passes on touched
-    crossings: an edit's new passes and its old passes at start-1..stop (for
-    an add, the two either side of its cut, whose pair alone it breaks).
-    Each pair of a site holds a crossing whose over pass lies in the site's
-    first pair (RI: the kink; RII: a or b; RIII: TM in the M pair, TB in the
-    B pair), touched when the pair is new, so scanning at q-1 and q, for the
-    over pass q of every touched crossing, finds every new site.
+    and on their adjacency.  An edit of component k breaks the pairs that
+    start at positions start-1..stop-1: those holding a pass it replaces,
+    and for an add the one pair either side of its cut.  Every other pair
+    keeps its two passes, adjacent, shifted by the edits of k before it, so
+    a cached descriptor none of whose pairs broke survives at its shifted
+    sites, and these positions are computed, not read from new's maps.  A
+    pair that became adjacent has both passes on touched crossings: an
+    edit's new passes and its old passes at start-1..stop.  Each pair of a
+    site holds a crossing whose over pass lies in the site's first pair
+    (RI: the kink; RII: a or b; RIII: TM in the M pair, TB in the B pair),
+    touched when the pair is new, so scanning at q-1 and q, for the over
+    pass q of every touched crossing, finds every new site.
     """
-    touched = set()
+    touched, edited = set(), {}  # edited: k -> (edit stops, shift past each, broken pairs)
     for k, start, stop, passes in edits:
         comp = old.components[k]
         touched.update(comp[i % len(comp)].crossing for i in range(start - 1, stop + 1) if comp)
         touched.update(pas.crossing for pas in passes)
+        stops, shift, broken = edited.get(k) or edited.setdefault(k, ([], [0], set()))
+        stops.append(stop)
+        shift.append(shift[-1] + len(passes) - (stop - start))
+        broken.update(range(start, stop), [(start - 1) % len(comp)] if comp else ())
+    over_at = _positions(new, new._over_at)
     rescanned: dict[int, set[int]] = {}
     for x in touched & new._over_at.keys():
-        k, q = new._over_at[x]
+        k, q = over_at[x]
         rescanned.setdefault(k, set()).update(((q - 1) % len(new.components[k]), q))
     out = []
     for cached in local:
         sites = []
-        for k, p in cached.sites:
-            comp, now = old.components[k], new.components[k]
-            a = comp[p]
-            at = (new._over_at if a.role == OVER else new._under_at).get(a.crossing)
-            if at is None or now[(at[1] + 1) % len(now)] is not comp[(p + 1) % len(comp)]:
-                break
-            sites.append(at)
+        for site in cached.sites:
+            k, p = site
+            if k in edited:
+                stops, shift, broken = edited[k]
+                if p in broken:
+                    break
+                if p >= stops[0]:  # else before every edit, where no pair moves
+                    site = k, p + shift[bisect_right(stops, p)]
+            sites.append(site)
         else:
             sites = tuple(sites)
             k, p = sites[0]
@@ -311,11 +317,19 @@ def enumerate_moves(d: Diagram, kinds) -> list[MoveDescriptor]:
 
 
 def _require(condition: bool, message: str, *args):
-    # every applied move passes here, so message % args is built only on failure;
-    # an int past 14,000 bits, near str()'s 4,300-digit limit, shows as "..."
+    # every applied move passes here, so message % args is built only on failure
     if not condition:
-        args = tuple("..." if isinstance(a, int) and a.bit_length() > 14_000 else a for a in args)
-        raise MoveError(f"stale or invalid move descriptor: {message % args}")
+        raise MoveError(f"stale or invalid move descriptor: {message % tuple(map(_shown, args))}")
+
+
+def _shown(arg):
+    """arg, or "..." when its text would pass str()'s 4,300-digit limit, as an
+    int's does from about 14,000 bits on."""
+    try:
+        str(arg)
+    except ValueError:
+        return "..."
+    return "..." if isinstance(arg, int) and arg.bit_length() > 14_000 else arg
 
 
 def _site(d: Diagram, site: tuple[int, int], arc: bool) -> tuple[int, int]:
@@ -420,6 +434,8 @@ def random_walk(d: Diagram, steps: int, kinds, seed: int
             continue
         mv = index.descriptor(rng.randrange(index.total))
         edits = _edits(current, mv)
+        if current is not d:  # a step's fresh-pass table would serve only sweeps of it
+            vars(current).pop("_fresh", None)
         new = current._rewritten(edits)
         current, local = new, _rescan(current, new, edits, kinds, local)
         trajectory.append((mv, current))

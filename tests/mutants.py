@@ -44,4 +44,13 @@ MUTANTS = [
      ["tests/test_coloring.py"], "count_colorings returning 1 for an uncolorable diagram"),
     (DIAGRAM, "and isinstance(x, int) and isinstance(u.crossing, int)", "and isinstance(x, int)",
      ["tests/test_diagram.py"], "Diagram without its under-id int check"),
+    # a rewrite result's map build from its parent's, by order labels
+    (DIAGRAM, "                    indexed[k] = 0\n", "                    pass\n",
+     ["tests/test_moves.py"], "no relabel when no label fits"),
+    (DIAGRAM, "for pas, label in zip(passes, new):", "for pas, label in zip(passes if start == stop else (), new):",
+     ["tests/test_moves.py"], "a swap not rewriting its moved passes' entries"),
+    (DIAGRAM, "        for k, start, stop, _ in edits:\n", "        for k, start, stop, _ in [e for e in edits if e[3]]:\n",
+     ["tests/test_moves.py"], "a removal leaving its entries in the maps"),
+    (DIAGRAM, "at if row is None else (k, bisect_left(row, label))", "at if row is None else (k, label)",
+     ["tests/test_moves.py"], "the resolver returning the label, not the position"),
 ]

@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -58,12 +59,15 @@ def realize_riii_row(row):
 
 def assert_indexed(out):
     """A move result's maps, built on first read or derived from its
-    parent's, its carried max crossing id and its crossing count equal what
-    the validating constructor builds from its components."""
+    parent's, give every crossing the over and under positions, and the
+    result the max crossing id and crossing count, that the validating
+    constructor builds from its components."""
     full = ud.Diagram(out.components)
-    assert ((out._over_at, out._under_at, out.max_crossing_id(), out.num_crossings)
-            == (full._over_at, full._under_at, full.max_crossing_id(), len(full._over_at))
-            ), ud.serialize(out)
+    assert out._over_at.keys() == full._over_at.keys() == out._under_at.keys(), ud.serialize(out)
+    assert (([(out.over_position(x), out.under_position(x)) for x in full._over_at],
+             out.max_crossing_id(), out.num_crossings)
+            == ([(full._over_at[x], full._under_at[x]) for x in full._over_at],
+                full.max_crossing_id(), len(full._over_at))), ud.serialize(out)
 
 
 def assert_matches_oracle(d):
@@ -411,9 +415,12 @@ class TestMalformedDescriptors:
         (ud.RII_ADD, ((0, 0), (10**5000, 0)), "no component ..."),
         (ud.RI_REMOVE, ((0, -10**5000),), "position ... out of range in component 0"),
         (ud.RI_REMOVE, ((-10**5000, 0),), "no component ..."),
-    ], ids=["huge-position", "huge-component", "remove-huge-position", "remove-huge-component"])
+        (ud.RII_ADD, ((0, 0), (0, Fraction(10**5000, 3))), "position ... out of range in component 0"),
+        (ud.RI_REMOVE, ((0, Fraction(10**5000, 3)),), "position ... out of range in component 0"),
+    ], ids=["huge-position", "huge-component", "remove-huge-position", "remove-huge-component",
+            "fraction-position", "remove-fraction-position"])
     def test_huge_site_names_its_rule(self, kind, sites, message):
-        # an int past str()'s digit limit is shown as "...", not as Python's limit error
+        # a site past str()'s digit limit is shown as "...", not as Python's limit error
         variant = "parallel+" if kind == ud.RII_ADD else "OU+"
         with pytest.raises(ud.MoveError) as raised:
             ud.apply_move(ud.parse(DELTA), ud.MoveDescriptor(kind, variant, sites))
@@ -459,6 +466,12 @@ class TestRandomWalk:
         t1 = ud.random_walk(d, 60, RI_KINDS, seed=123)
         t2 = ud.random_walk(d, 60, RI_KINDS, seed=123)
         assert t1 == t2
+
+    def test_steps_keep_no_fresh_table(self):
+        # a step's add builds its parent's fresh-pass table, which only sweeps reuse
+        walk = ud.random_walk(ud.parse(TREFOIL), 60, ALL_KINDS, seed=4)
+        assert sum(mv.kind in (ud.RI_ADD, ud.RII_ADD) for mv, _ in walk) > 30
+        assert not any("_fresh" in vars(step) for _, step in walk)
 
     def test_seed_changes_trajectory(self):
         d = ud.parse(DELTA)
@@ -742,6 +755,70 @@ class TestLazyMaps:
                 assert seen[0] == (full._under_at, full._over_at)
         finally:
             sys.setswitchinterval(interval)
+
+
+def _planted_knot(crossings: int) -> ud.Diagram:
+    """A knot of at least the given crossings: the trefoil summed with seeded
+    knots that hold planted kinks, pokes and triple slides."""
+    d, seed = ud.parse(TREFOIL), 0
+    while d.num_crossings < crossings:
+        block, seed = ud.parse(planted_code(random.Random(seed), 1)), seed + 1
+        if block.num_crossings:
+            d = ud.connected_sum(d, block, ud.SemiArcId(0, seed % d.arc_count(0)), ud.SemiArcId(0, 0))
+    return d
+
+
+class TestMapWrites:
+    """A walk step's map build writes the entries of the passes its move puts
+    in or swaps, deletes those of the passes it takes out and leaves every
+    other entry the parent's, however long the component (of at least 128
+    passes; a shorter one is indexed anew from its first edit); only a
+    component whose order labels ran out is indexed anew."""
+
+    # (passes put in, passes taken out) per kind: RIII swaps three pairs
+    EDITED = {ud.RI_ADD: (2, 0), ud.RII_ADD: (4, 0), ud.RI_REMOVE: (0, 2), ud.RII_REMOVE: (0, 4),
+              ud.RIII: (6, 0)}
+
+    @pytest.mark.parametrize("crossings", [100, 1000])
+    def test_writes_do_not_grow_with_the_component(self, crossings):
+        start, kinds, checked = _planted_knot(crossings), set(), 0
+        # a walk over every kind mostly adds pokes
+        for kind_set in (ALL_KINDS, {ud.RI_ADD}, frozenset(LOCAL_KINDS)):
+            old = start
+            for mv, step in ud.random_walk(start, 40, kind_set, seed=crossings):
+                edited = {k for k, comp in enumerate(step.components) if comp is not old.components[k]}
+                if edited <= step._labels.keys():  # else a component's labels ran out
+                    pairs = (old._over_at, step._over_at), (old._under_at, step._under_at)
+                    written = sum(old_at.get(x) is not v for old_at, at in pairs for x, v in at.items())
+                    deleted = sum(len(old_at.keys() - at.keys()) for old_at, at in pairs)
+                    assert (written, deleted) == self.EDITED[mv.kind], mv
+                    kinds.add(mv.kind)
+                    checked += 1
+                old = step
+        assert kinds == ALL_KINDS and checked >= 115
+
+    def test_labelled_diagram_reads_as_reparsed(self):
+        # a walked diagram whose maps hold labels lists, walks and certifies as
+        # its reparsed copy, whose maps hold positions
+        last = ud.random_walk(_planted_knot(150), 30, ALL_KINDS, seed=3)[-1][1]
+        fresh = ud.parse(ud.serialize(last))
+        assert last._labels and not fresh._labels
+        kinds = frozenset(LOCAL_KINDS) | {ud.RI_ADD}  # RII-adds would list about 360,000
+        assert ud.enumerate_moves(last, kinds) == ud.enumerate_moves(fresh, kinds)
+        assert ud.random_walk(last, 30, ALL_KINDS, 7) == ud.random_walk(fresh, 30, ALL_KINDS, 7)
+        assert ud.phi_shift(last, F) == ud.phi_shift(fresh, F)
+        assert str(ud.rii_report(last, fresh, F)) == str(ud.rii_report(fresh, fresh, F))
+
+    def test_labels_run_out(self):
+        # each RI-add on arc 1 puts its pair a third of the way into the gap the
+        # last one left after label 1, so about every 33rd add finds no float to
+        # take and its component is indexed anew
+        current, relabelled = _planted_knot(100), 0
+        for _ in range(80):
+            current = ud.apply_move(current, ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 1),)))
+            assert_indexed(current)
+            relabelled += 0 not in current._labels
+        assert relabelled >= 2
 
 
 class TestSharedFreshPasses:
