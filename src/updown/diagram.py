@@ -141,8 +141,9 @@ class Diagram:
     as tuples, maps each crossing to its two pass positions and decides by
     set and dict checks alone (__post_init__).  A move result is valid
     by construction and skips all that (_rewritten): it costs its spliced
-    slices and builds its maps when first read.  Instances are immutable
-    and safe to share; all operations on them are pure functions.
+    slices and builds its maps when first read, from its parent's (taken
+    over from a walk step, else copied).  Instances are immutable and safe
+    to share; all operations on them are pure functions.
     """
 
     components: tuple[tuple[Pass, ...], ...]
@@ -174,12 +175,17 @@ class Diagram:
         out and writes those of the passes it puts in, at order labels that
         leave every other entry as it is (_labels).  Positions are written
         instead for a short component, from its first edit, for one whose
-        labels ran out, and with no parent maps (as in validation) for all."""
+        labels ran out, and with no parent maps (as in validation) for all.
+        The parent's maps and all its label lists are copied first, unless the
+        parent handed them over (_rewritten): then they are edited in place."""
         if name not in ("_over_at", "_under_at", "_labels"):
             raise AttributeError(f"'Diagram' object has no attribute {name!r}")
         parent = vars(self).get("_parent")
-        over_at, under_at, components, labels, edits = parent or ({}, {}, (), {}, ())
-        maps = over_at, under_at = over_at.copy(), under_at.copy()
+        over_at, under_at, components, labels, edits, owned = parent or ({}, {}, (), {}, (), True)
+        if not owned:  # every row too: a walk step may hand this build on, to be edited in place
+            over_at, under_at = over_at.copy(), under_at.copy()
+            labels = {k: list(row) for k, row in labels.items()}
+        maps = over_at, under_at
         for k, start, stop, _ in edits:
             for pas in components[k][start:stop]:
                 del (over_at if pas.role == OVER else under_at)[pas.crossing]
@@ -191,7 +197,7 @@ class Diagram:
                 indexed[k] = 0 if k in labels else start
                 continue
             if k not in rows:
-                rows[k] = list(labels.get(k) or range(len(components[k])))
+                rows[k] = labels.get(k) or list(range(len(components[k])))
             row = rows[k]
             new = row[start:stop]  # a swap's passes take its slots' labels
             if start == stop:  # an add's pair goes between its neighbours' labels, or past the last
@@ -214,11 +220,14 @@ class Diagram:
         vars(self).pop("_parent", None)  # frees the parent's maps; a later racer builds anew
         return vars(self)[name]
 
-    def _rewritten(self, edits) -> Diagram:
+    def _rewritten(self, edits, hand_over: bool = False) -> Diagram:
         """A rewrite's result, unvalidated: the sorted slice edits (k, start,
         stop, passes) of moves._edits applied from the last one back, with
         this diagram's max crossing id when known; __getattr__ builds its maps
-        on first read from this diagram's maps and components and the edits."""
+        on first read from this diagram's maps and components and the edits.
+        With hand_over, this diagram gives the result its maps and label lists
+        to edit in place, drops its fresh-pass table and, if read later, indexes
+        its components anew: for a walk step, which no one else reads first."""
         own = vars(self)
         components, top = list(self.components), own.get("_max_id")
         for k, start, stop, passes in reversed(edits):
@@ -232,7 +241,10 @@ class Diagram:
         vars(new).update(components=tuple(components), _max_id=top)
         if "_over_at" in own:
             vars(new)["_parent"] = (own["_over_at"], own["_under_at"], own["components"],
-                                    own["_labels"], edits)
+                                    own["_labels"], edits, hand_over)
+        if hand_over:
+            for key in ("_over_at", "_under_at", "_labels", "_fresh"):
+                own.pop(key, None)
         return new
 
     # -- basic queries ----------------------------------------------------
@@ -271,7 +283,8 @@ class Diagram:
         return self.over_position(crossing)[0] == self.under_position(crossing)[0]
 
     def nonself_crossing_count(self) -> int:
-        return sum(self._under_at[x][0] != k for x, (k, _) in self._over_at.items())
+        return 0 if len(self.components) == 1 else sum(  # a knot has no non-self crossing
+            self._under_at[x][0] != k for x, (k, _) in self._over_at.items())
 
     def max_crossing_id(self) -> int:
         if vars(self).get("_max_id") is None:  # computed once per diagram, on first use

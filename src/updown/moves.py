@@ -171,15 +171,17 @@ def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
             # M runs under TM then over MB, or over MB then under TM
             for m_first, anchor_m, other in (("TM", pu, nxt), ("MB", prv, prv)):
                 mb_pass = mid[other]
-                if mb_pass.role != OVER or mb_pass.crossing in (tm, tb):
+                mb = mb_pass.crossing
+                if mb_pass.role != OVER or mb in (tm, tb):
                     continue
-                k_low2, p_mb = under_at[mb_pass.crossing]
-                if k_low2 != k_low:
+                low = components[k_low]
+                after, before = (p_tb + 1) % len(low), (p_tb - 1) % len(low)
+                if mb not in (low[after].crossing, low[before].crossing):
                     continue
-                low_size = len(components[k_low])
-                # not elif: a two-pass bottom strand is adjacent both ways round
-                for b_first, anchor_b, after in (("TB", p_tb, p_mb), ("MB", p_mb, p_tb)):
-                    if (anchor_b + 1) % low_size != after:
+                # B runs under TB then MB, or under MB then TB; not elif: a two-pass
+                # bottom strand is adjacent both ways round
+                for b_first, anchor_b, p_mb in (("TB", p_tb, after), ("MB", before, before)):
+                    if low[p_mb].crossing != mb or low[p_mb].role != UNDER:
                         continue
                     variant = _RIII_ROWS.get((t_first, m_first, b_first, tm_pass.sign,
                                               tb_pass.sign, mb_pass.sign))
@@ -209,8 +211,8 @@ class _MoveIndex:
         self.starts = list(accumulate((d.arc_count(k) for k in range(d.num_components)),
                                       initial=0))
         n_arcs = self.starts[-1]
-        room = _ID_LIMIT - 1 - d.max_crossing_id()
-        fits = {kind: kind in kinds and fresh <= room for kind, fresh in _FRESH_IDS.items()}
+        top = d.max_crossing_id()
+        fits = {kind: kind in kinds and top + fresh < _ID_LIMIT for kind, fresh in _FRESH_IDS.items()}
         self.ri_add = len(_RI_VARIANTS) * n_arcs * fits[RI_ADD]
         self.rii_add = len(_RII_VARIANTS) * n_arcs * (n_arcs - 1) * fits[RII_ADD]
         if local is None:
@@ -416,7 +418,9 @@ def random_walk(d: Diagram, steps: int, kinds, seed: int
     Each step picks uniformly among all applicable descriptors of the
     requested kinds; a step with no applicable move is recorded as a stall
     (None descriptor, unchanged diagram).  Identical arguments always give
-    identical trajectories.  _rescan's read builds each step's maps.
+    identical trajectories.  _rescan's read builds each step's maps, from
+    the last step's, which that step hands over (_rewritten): only the
+    final diagram keeps its maps, and d's are only read.
     """
     kinds = frozenset(kinds)
     if not kinds:
@@ -434,9 +438,7 @@ def random_walk(d: Diagram, steps: int, kinds, seed: int
             continue
         mv = index.descriptor(rng.randrange(index.total))
         edits = _edits(current, mv)
-        if current is not d:  # a step's fresh-pass table would serve only sweeps of it
-            vars(current).pop("_fresh", None)
-        new = current._rewritten(edits)
+        new = current._rewritten(edits, hand_over=current is not d)  # steps are the walk's own
         current, local = new, _rescan(current, new, edits, kinds, local)
         trajectory.append((mv, current))
     return trajectory

@@ -34,6 +34,10 @@ MUTANTS = [
      ["tests/test_moves.py"], "one _RIII_ROWS variant changed"),
     (MOVES, "        touched.update(pas.crossing for pas in passes)\n", "",
      ["tests/test_moves.py"], "_rescan skipping an edit's new passes"),
+    (MOVES, "if low[p_mb].crossing != mb or low[p_mb].role != UNDER:", "if low[p_mb].crossing != mb:",
+     ["tests/test_moves.py"], "RIII taking MB's over pass for its B strand pass"),
+    (MOVES, "hand_over=current is not d)", "hand_over=True)",
+     ["tests/test_moves.py"], "the first walk step taking the start diagram's maps"),
     # invariants, colorings and diagrams
     (INVARIANT, "yield ku, (pu - 1) % len(comps[ku]), ko, po, 1", "yield ku, pu, ko, po, 1",
      ["tests/test_invariant.py"], "_weight_sites reading the wrong under arc"),
@@ -53,4 +57,13 @@ MUTANTS = [
      ["tests/test_moves.py"], "a removal leaving its entries in the maps"),
     (DIAGRAM, "at if row is None else (k, bisect_left(row, label))", "at if row is None else (k, label)",
      ["tests/test_moves.py"], "the resolver returning the label, not the position"),
+    (DIAGRAM, "        if not owned:  # every row too", "        if True:  # every row too",
+     ["tests/test_moves.py"], "a walk step still copying its parent's maps and label lists"),
+    (DIAGRAM, "rows[k] = labels.get(k) or list(range(len(components[k])))",
+     "rows[k] = list(labels.get(k) or range(len(components[k])))",
+     ["tests/test_moves.py"], "a walk step still copying the label lists it edits"),
+    (DIAGRAM, "labels = {k: list(row) for k, row in labels.items()}", "labels = dict(labels)",
+     ["tests/test_moves.py"], "a first walk step sharing its start's unedited label lists"),
+    (DIAGRAM, '        if "_over_at" in own:\n', '        if "_over_at" in own and not hand_over:\n',
+     ["tests/test_moves.py"], "a walk step indexing its components anew instead of taking the maps"),
 ]

@@ -457,6 +457,18 @@ class TestSelfCrossing:
         with pytest.raises(ud.ValidationError):
             ud.parse(KINK).is_self_crossing(2)
 
+    @given(diagrams())
+    @settings(max_examples=100, deadline=None)
+    def test_nonself_count(self, d):
+        xs = {pas.crossing for comp in d.components for pas in comp}
+        assert d.nonself_crossing_count() == sum(not d.is_self_crossing(x) for x in xs)
+
+    def test_knot_counts_without_its_maps(self):
+        # a knot has no non-self crossing, so an unread move result stays unread
+        out = ud.apply_move(ud.parse(DELTA), ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 0),)))
+        assert out.nonself_crossing_count() == 0
+        assert "_over_at" not in vars(out)
+
 
 class TestConnectedSum:
     def test_with_unknot_is_identity(self):

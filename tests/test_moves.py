@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import updown as ud
-from updown import moves
+from updown import diagram, moves
 from updown.moves import (
     _RI_VARIANTS,
     _RII_VARIANTS,
@@ -68,6 +68,35 @@ def assert_indexed(out):
              out.max_crossing_id(), out.num_crossings)
             == ([(full._over_at[x], full._under_at[x]) for x in full._over_at],
                 full.max_crossing_id(), len(full._over_at))), ud.serialize(out)
+
+
+def record_builds(monkeypatch):
+    """Checks each move result's maps with assert_indexed right after they are
+    built from its parent's, while it still holds the maps it built, and
+    records per result, keyed by its id: whether it kept its parent's two maps
+    and label lists as its own, the entries it wrote and deleted, counted
+    against a copy of the parent's maps taken before the build, and its
+    labelled components."""
+    builds, build = {}, ud.Diagram.__getattr__
+
+    def recorded(self, name):
+        parent = vars(self).get("_parent")
+        before = parent and (dict(parent[0]), dict(parent[1]))
+        value = build(self, name)
+        if parent:
+            own = vars(self)
+            pairs = (before[0], own["_over_at"]), (before[1], own["_under_at"])
+            builds[id(self)] = (
+                (own["_over_at"] is parent[0], own["_under_at"] is parent[1],
+                 *(own["_labels"][k] is row for k, row in parent[3].items() if k in own["_labels"])),
+                sum(old.get(x) is not v for old, at in pairs for x, v in at.items()),
+                sum(len(old.keys() - at.keys()) for old, at in pairs),
+                own["_labels"].keys())
+            assert_indexed(self)
+        return value
+
+    monkeypatch.setattr(ud.Diagram, "__getattr__", recorded)
+    return builds
 
 
 def assert_matches_oracle(d):
@@ -684,18 +713,25 @@ class TestResultMaps:
 
 
 class TestLazyMaps:
-    """A move result builds its maps when first read, random_walk derives
-    each step's from the last step's, and both equal the validated maps."""
+    """A move result builds its maps when first read, random_walk hands each
+    step's maps on to the next step, and a step read after the walk indexes
+    its own components; all equal the validated maps."""
 
     @pytest.mark.parametrize("components,crossings", [(1, 256), (1, 1024), (3, 96)])
     @pytest.mark.parametrize("kinds", [ALL_KINDS, frozenset(LOCAL_KINDS) | {ud.RI_ADD}],
                              ids=["all", "local,RI-add"])
-    def test_every_walk_step(self, components, crossings, kinds):
+    def test_every_walk_step(self, monkeypatch, components, crossings, kinds):
         # crossings at random positions; the walks' own kinks and pokes give the removals
         d = ud.parse(random_link_code(random.Random(crossings), components, crossings, 2))
         assert d.num_crossings >= crossings
-        for mv, step in ud.random_walk(d, 40, kinds, seed=crossings):
-            assert vars(step).keys() >= {"_over_at", "_under_at"}  # derived, not lazy
+        builds = record_builds(monkeypatch)  # each step is checked as it builds its maps
+        walk = ud.random_walk(d, 40, kinds, seed=crossings)
+        monkeypatch.undo()
+        assert all(id(step) in builds for mv, step in walk if mv is not None)
+        # every step but the last gave its maps away; the last keeps those it built
+        assert not any(vars(step).keys() & {"_over_at", "_under_at", "_labels"} for _, step in walk[:-1])
+        assert vars(walk[-1][1]).keys() >= {"_over_at", "_under_at", "_labels"}
+        for mv, step in walk:
             assert_indexed(step)
 
     def test_every_sweep_result(self):
@@ -769,33 +805,101 @@ def _planted_knot(crossings: int) -> ud.Diagram:
 
 
 class TestMapWrites:
-    """A walk step's map build writes the entries of the passes its move puts
-    in or swaps, deletes those of the passes it takes out and leaves every
-    other entry the parent's, however long the component (of at least 128
-    passes; a shorter one is indexed anew from its first edit); only a
-    component whose order labels ran out is indexed anew."""
+    """A walk step's map build takes the last step's maps and label lists and
+    edits them in place: it writes the entries of the passes its move puts in
+    or swaps, deletes those of the passes it takes out and leaves every other
+    entry as it was, however long the component (of at least 128 passes; a
+    shorter one is indexed anew from its first edit).  Only a component whose
+    order labels ran out is indexed anew, and the walk's start is only read."""
 
     # (passes put in, passes taken out) per kind: RIII swaps three pairs
     EDITED = {ud.RI_ADD: (2, 0), ud.RII_ADD: (4, 0), ud.RI_REMOVE: (0, 2), ud.RII_REMOVE: (0, 4),
               ud.RIII: (6, 0)}
 
     @pytest.mark.parametrize("crossings", [100, 1000])
-    def test_writes_do_not_grow_with_the_component(self, crossings):
+    def test_writes_do_not_grow_with_the_component(self, monkeypatch, crossings):
         start, kinds, checked = _planted_knot(crossings), set(), 0
+        builds = record_builds(monkeypatch)
         # a walk over every kind mostly adds pokes
         for kind_set in (ALL_KINDS, {ud.RI_ADD}, frozenset(LOCAL_KINDS)):
             old = start
-            for mv, step in ud.random_walk(start, 40, kind_set, seed=crossings):
+            for i, (mv, step) in enumerate(ud.random_walk(start, 40, kind_set, seed=crossings)):
+                kept, written, deleted, labelled = builds[id(step)]
+                # the first step copies the start's maps and labels; every later one edits its parent's
+                assert set(kept) == {i > 0}, (i, mv)
                 edited = {k for k, comp in enumerate(step.components) if comp is not old.components[k]}
-                if edited <= step._labels.keys():  # else a component's labels ran out
-                    pairs = (old._over_at, step._over_at), (old._under_at, step._under_at)
-                    written = sum(old_at.get(x) is not v for old_at, at in pairs for x, v in at.items())
-                    deleted = sum(len(old_at.keys() - at.keys()) for old_at, at in pairs)
+                if edited <= labelled:  # else a component's labels ran out
                     assert (written, deleted) == self.EDITED[mv.kind], mv
                     kinds.add(mv.kind)
                     checked += 1
                 old = step
         assert kinds == ALL_KINDS and checked >= 115
+        for _, step in ud.random_walk(start, 20, ALL_KINDS, seed=1):
+            assert_indexed(step)  # read after the walk, each step indexes its own components
+
+    @pytest.mark.parametrize("grown", ["knot", "link"])
+    def test_walk_leaves_its_start_as_it_was(self, grown):
+        # a labelled start: the last step of a walk keeps the maps and labels it
+        # built; a link's steps edit one component while the others keep theirs
+        if grown == "knot":
+            start = ud.random_walk(_planted_knot(150), 30, ALL_KINDS, seed=3)[-1][1]
+        else:
+            start = ud.random_walk(ud.parse(random_link_code(random.Random(300), 2, 300, 2)),
+                                   30, ALL_KINDS, seed=1)[-1][1]
+        child = ud.apply_move(start, ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 0),)))
+        assert_indexed(child)
+        kept = []
+        for d in start, child:
+            held = {key: vars(d)[key] for key in ("_over_at", "_under_at", "_labels")}
+            rows = dict(held["_labels"])
+            assert len(rows) == d.num_components and all(len(comp) >= 128 for comp in d.components)
+            kept.append((d, held, rows, ({key: dict(value) for key, value in held.items()},
+                                         {k: list(row) for k, row in rows.items()})))
+        for seed, kinds in enumerate((ALL_KINDS, frozenset(LOCAL_KINDS) | {ud.RI_ADD}, {ud.RIII},
+                                      {ud.RI_ADD}, {ud.RI_ADD})):
+            for d in start, child:
+                walk = ud.random_walk(d, 30, kinds, seed)
+                assert all(step is not d for mv, step in walk if mv is not None)
+                if kinds == {ud.RI_ADD}:  # the walk edits every component
+                    assert all(walk[-1][1].components[k] is not comp for k, comp in enumerate(d.components))
+                for d, held, rows, contents in kept:
+                    assert all(vars(d)[key] is value for key, value in held.items())
+                    assert all(vars(d)["_labels"][k] is row for k, row in rows.items())
+                    assert ({key: dict(value) for key, value in held.items()},
+                            {k: list(row) for k, row in rows.items()}) == contents
+                    assert_indexed(d)
+
+    @pytest.mark.parametrize("crossings", [300, 1000])
+    def test_steps_index_no_long_component_anew(self, monkeypatch, crossings):
+        # only the first step may index a long component from position 0, when
+        # the walk's start has no maps to copy; after it, only a component
+        # whose labels ran out is indexed anew, as apply_move's build indexes it
+        big = ud.parse(random_link_code(random.Random(crossings), 2, crossings, 2))
+        unread = ud.apply_move(big, ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 0),)))
+        assert "_over_at" not in vars(unread)
+        indexed, index = [], diagram._map_roles
+
+        def recorded(maps, components, k, start):
+            indexed.append((components, k, start))
+            index(maps, components, k, start)
+
+        for start, kinds in [(unread, {ud.RI_ADD}), (big, ALL_KINDS),
+                             (big, frozenset(LOCAL_KINDS) | {ud.RI_ADD})]:
+            monkeypatch.setattr(diagram, "_map_roles", recorded)
+            walk = ud.random_walk(start, 60, kinds, seed=crossings)
+            monkeypatch.undo()
+            anew = {(i, k) for i, (_, step) in enumerate(walk) for components, k, p in indexed
+                    if components is step.components and p == 0 and len(components[k]) >= 128}
+            # the same moves applied one by one, each result read before the next
+            ran_out, current = set(), start
+            for i, (mv, step) in enumerate(walk):
+                current = ud.apply_move(current, mv)
+                assert current == step
+                ran_out |= {(i, k) for k, comp in enumerate(current.components)
+                            if len(comp) >= 128 and k not in current._labels}
+            first = {(0, k) for k in range(2)} if start is unread else set()
+            assert anew - first <= ran_out and first <= anew, kinds
+            indexed.clear()
 
     def test_labelled_diagram_reads_as_reparsed(self):
         # a walked diagram whose maps hold labels lists, walks and certifies as
