@@ -25,9 +25,10 @@ The moves fall in two families, each with one table.  The add kinds
 (RI-add, RII-add) are rows of _ADD_LAYOUTS, which gives the pass pair each
 variant puts on each of its arcs and so the fresh crossing ids it takes.
 The local kinds (RI-remove, RII-remove, RIII) are decided by one scan,
-_local_moves, which reads each adjacent pass pair once and looks triple
-slides up in _RIII_ROWS.  enumerate_moves runs the scan over every
-position, and random_walk once, then only next to each move (_rescan).
+_local_moves, which reads each adjacent pass pair once, skips an over pair
+with no crossing beside both its under passes (every poke and slide site
+has one) and looks slides up in _RIII_ROWS.  enumerate_moves scans every
+position; random_walk does once, then only next to each move (_rescan).
 _edits checks a move of either kind against a diagram, scanning only its
 first site, and describes it as slice edits of the pass sequences, which
 Diagram._rewritten applies without re-validating and _rescan reads.
@@ -134,7 +135,9 @@ def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
     every position and apply_move scans only a descriptor's first site.
     Pair (p, p+1) of component k is read once: as a kink when both passes
     share a crossing, otherwise, when both run over, as the over pair of a
-    poke and as the T pair of a triple slide.
+    poke and as the T pair of a triple slide.  A poke needs b's crossing
+    next to a's under pass, a slide one (MB) next to both under passes: a
+    pair with neither is skipped, and one with no MB skips the slide test.
     """
     components = d.components
     under_at = _positions(d, d._under_at)  # bulk scan; ids are known valid
@@ -153,15 +156,20 @@ def _local_moves(d: Diagram, kinds, k: int, positions) -> list[MoveDescriptor]:
         if a.role != OVER or b.role != OVER:
             continue
         under_a, under_b = under_at[a.crossing], under_at[b.crossing]  # read once, for both kinds
+        (k_under, p_a), (k_under2, p_b) = under_a, under_b
+        ring_a, ring_b = components[k_under], components[k_under2]
+        near_a = ring_a[p_a - 1].crossing, ring_a[(p_a + 1) % len(ring_a)].crossing
+        slide = ring_b[p_b - 1].crossing in near_a or ring_b[(p_b + 1) % len(ring_b)].crossing in near_a
+        if not slide and b.crossing not in near_a:
+            continue
         # this adjacency test and B's below stay inline: a shared helper slows walk measurably
         if RII_REMOVE in kinds and a.sign == -b.sign:
-            (k_under, p_a), (k_under2, p_b) = under_a, under_b
             # the under passes of a then b (parallel), or of b then a; both on two passes
             for pattern, start, after in (("parallel", p_a, p_b), ("antiparallel", p_b, p_a)):
                 if k_under2 == k_under and (start + 1) % len(components[k_under]) == after:
                     out.append(MoveDescriptor(
                         RII_REMOVE, f"{pattern}{_sign_char(a.sign)}", ((k, p), (k_under, start))))
-        if RIII not in kinds:
+        if RIII not in kinds or not slide:
             continue
         for t_first, tm_pass, tb_pass, (k_mid, pu), (k_low, p_tb) in (
                 ("TM", a, b, under_a, under_b), ("TB", b, a, under_b, under_a)):

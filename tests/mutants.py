@@ -30,6 +30,13 @@ MUTANTS = [
     # moves
     (MOVES, "if k_under2 == k_under and (start + 1)", "if (start + 1)",
      ["tests/test_moves.py"], "RII-remove without its same-component test"),
+    # the shared-neighbour check before both over-pair tests: one mutant per clause
+    (MOVES, "if not slide and b.crossing not in near_a:", "if not slide:",
+     ["tests/test_moves.py"], "the over-pair check without b's own crossing"),
+    (MOVES, "slide = ring_b[p_b - 1].crossing in near_a or ", "slide = ",
+     ["tests/test_moves.py"], "the over-pair check without the pass before b's under pass"),
+    (MOVES, " or ring_b[(p_b + 1) % len(ring_b)].crossing in near_a\n", "\n",
+     ["tests/test_moves.py"], "the over-pair check without the pass after b's under pass"),
     (MOVES, '("TB", "MB", "MB", -1, -1, -1): 2,', '("TB", "MB", "MB", -1, -1, -1): 3,',
      ["tests/test_moves.py"], "one _RIII_ROWS variant changed"),
     (MOVES, "        touched.update(pas.crossing for pas in passes)\n", "",

@@ -326,6 +326,15 @@ class TestLocalOracle:
         for code in codes:
             assert_matches_oracle(ud.parse(code))
 
+    @pytest.mark.parametrize("start", [TREFOIL, "O1+ U2+ ; U1+ O2+"], ids=["trefoil", "link"])
+    def test_walk_grown_diagrams(self, start):
+        # the pokes these walks put in sit among many over pass pairs that the
+        # scan skips untested, so a check that skips one pair too many drops sites
+        grow = {ud.RI_ADD, ud.RII_ADD, ud.RIII}
+        for seed in range(4):
+            for _, d in ud.random_walk(ud.parse(start), 30, grow, seed)[4::5]:
+                assert_matches_oracle(d)
+
     @pytest.mark.parametrize("layout", ["one", "bottom-alone", "each-alone"])
     def test_every_slide_key(self, layout):
         # a strand alone on a two-pass component is adjacent both ways round
