@@ -40,7 +40,6 @@ _CODE_RE = re.compile(rf"\s*{_COMPONENT}(?:\s+;\s+{_COMPONENT})*\s*")
 # _POSITIONS[k][p] is the (k, p) every map shares, so indexing allocates no tuple; a row
 # grows by replacement, never in place, so a racing reader still holds a valid row
 _POSITIONS: dict[int, tuple[tuple[int, int], ...]] = {}
-_LABELLED_FROM = 128  # passes; a shorter component keeps positions in its maps
 _TOKEN_PASSES: dict[str, Pass] = {}  # parse's shared Pass per token of up to 8 chars (ids < 10**6)
 _TOKEN_PASSES_CAP = 2**14  # 2.6 MiB when full; racing parsers may each add one past it
 
@@ -92,12 +91,12 @@ class SemiArcId:
     position: int
 
 
-def _map_roles(maps, components, k: int, start: int):
-    """Map component k's passes, from start on, into maps by role, unchecked."""
+def _map_roles(maps, components, k: int):
+    """Map component k's passes into maps by role, unchecked."""
     (over_at, under_at), comp, row = maps, components[k], _POSITIONS.get(k, ())
     if len(row) < len(comp):
         _POSITIONS[k] = row = row + tuple((k, p) for p in range(len(row), len(comp) * 9 // 8))
-    for pas, q in zip(comp[start:], row[start:]):
+    for pas, q in zip(comp, row):
         if pas.role == OVER:
             over_at[pas.crossing] = q
         elif pas.role == UNDER:  # a pass of a third role is left out, for validation to see
@@ -171,11 +170,10 @@ class Diagram:
 
     def __getattr__(self, name):
         """A rewrite result's maps, built on first read from its parent's.  An
-        edit of a long component deletes the entries of the passes it takes
-        out and writes those of the passes it puts in, at order labels that
-        leave every other entry as it is (_labels).  Positions are written
-        instead for a short component, from its first edit, for one whose
-        labels ran out, and with no parent maps (as in validation) for all.
+        edit deletes the entries of the passes it takes out and writes those
+        of the passes it puts in, at order labels that leave every other entry
+        as it is (_labels).  Positions are written instead for a component
+        whose labels ran out, and with no parent maps (as in validation) for all.
         The parent's maps and all its label lists are copied first, unless the
         parent handed them over (_rewritten): then they are edited in place."""
         if name not in ("_over_at", "_under_at", "_labels"):
@@ -189,13 +187,9 @@ class Diagram:
         for k, start, stop, _ in edits:
             for pas in components[k][start:stop]:
                 del (over_at if pas.role == OVER else under_at)[pas.crossing]
-        # k -> where component k is indexed anew from: each with no parent maps, and a
-        # short one, whose positions cost less to write than labels cost to read
-        indexed, rows = {} if parent else dict.fromkeys(range(len(self.components)), 0), {}
+        # the components indexed anew: each with no parent maps, and one whose labels ran out
+        indexed, rows = set() if parent else set(range(len(self.components))), {}
         for k, start, stop, passes in reversed(edits):  # the last first, so starts hold
-            if len(components[k]) < _LABELLED_FROM:
-                indexed[k] = 0 if k in labels else start
-                continue
             if k not in rows:
                 rows[k] = labels.get(k) or list(range(len(components[k])))
             row = rows[k]
@@ -205,15 +199,15 @@ class Diagram:
                 hi = row[start] if start < len(row) else lo + 3
                 row[start:start] = new = lo + (hi - lo) / 3, hi - (hi - lo) / 3
                 if not lo < new[0] < new[1] < hi:  # no float fits
-                    indexed[k] = 0
+                    indexed.add(k)
             elif not passes:  # a removal's slots go
                 del row[start:stop]
             for pas, label in zip(passes, new):
                 (over_at if pas.role == OVER else under_at)[pas.crossing] = k, label
         labels = {**labels, **rows}
-        for k, start in indexed.items():
+        for k in indexed:
             labels.pop(k, None)
-            _map_roles(maps, self.components, k, start)
+            _map_roles(maps, self.components, k)
         # racing readers build equal maps; the first published stays, its labels first
         for key, built in zip(("_labels", "_over_at", "_under_at"), (labels, *maps)):
             vars(self).setdefault(key, built)
@@ -433,7 +427,7 @@ def connected_sum(d1: Diagram, d2: Diagram, s1: SemiArcId, s2: SemiArcId) -> Dia
     if d1.num_components != 1 or d2.num_components != 1:
         raise ValidationError("connected sum is defined for single-component diagrams")
     for d, s in ((d1, s1), (d2, s2)):
-        if s.component != 0 or not 0 <= s.position < d.arc_count(0):
+        if s.component != 0 or not isinstance(s.position, int) or not 0 <= s.position < d.arc_count(0):
             raise ValidationError(f"semi-arc {s} does not exist in its diagram")
     offset = d1.max_crossing_id()
     seq1 = d1.components[0]

@@ -433,6 +433,8 @@ def random_walk(d: Diagram, steps: int, kinds, seed: int
     kinds = frozenset(kinds)
     if not kinds:
         raise MoveError("kinds must be nonempty")
+    if not isinstance(steps, int):
+        raise MoveError(f"steps must be an integer, got {type(steps).__name__}")
     if steps < 0:
         raise MoveError("steps must be >= 0")
     rng = random.Random(seed)

@@ -48,6 +48,11 @@ MUTANTS = [
     # invariants, colorings and diagrams
     (INVARIANT, "yield ku, (pu - 1) % len(comps[ku]), ko, po, 1", "yield ku, pu, ko, po, 1",
      ["tests/test_invariant.py"], "_weight_sites reading the wrong under arc"),
+    (INVARIANT, "yield ku, pu, ko, (po - 1) % len(comps[ko]), -1", "yield ku, pu, ko, po, -1",
+     ["tests/test_invariant.py"], "_weight_sites reading the wrong over arc at a negative crossing"),
+    (INVARIANT, "yield ku, pu, ko, (po - 1) % len(comps[ko]), -1",
+     "yield ku, (pu - 1) % len(comps[ku]), ko, (po - 1) % len(comps[ko]), -1",
+     ["tests/test_invariant.py"], "_weight_sites reading the wrong under arc at a negative crossing"),
     (INVARIANT, "RiiBound((abs(g1 - g2) + 1) // 2, CERT_MAXORD",
      "RiiBound(abs(g1 - g2) // 2, CERT_MAXORD",
      ["tests/test_invariant.py"], "the maxord bound rounding down"),
@@ -56,7 +61,7 @@ MUTANTS = [
     (DIAGRAM, "and isinstance(x, int) and isinstance(u.crossing, int)", "and isinstance(x, int)",
      ["tests/test_diagram.py"], "Diagram without its under-id int check"),
     # a rewrite result's map build from its parent's, by order labels
-    (DIAGRAM, "                    indexed[k] = 0\n", "                    pass\n",
+    (DIAGRAM, "                    indexed.add(k)\n", "                    pass\n",
      ["tests/test_moves.py"], "no relabel when no label fits"),
     (DIAGRAM, "for pas, label in zip(passes, new):", "for pas, label in zip(passes if start == stop else (), new):",
      ["tests/test_moves.py"], "a swap not rewriting its moved passes' entries"),

@@ -509,6 +509,14 @@ class TestConnectedSum:
             ud.connected_sum(ud.parse(KINK), ud.parse(KINK),
                              ud.SemiArcId(0, 2), ud.SemiArcId(0, 0))
 
+    @pytest.mark.parametrize("position", [1.5, "0"])
+    def test_rejects_non_int_position(self, position):
+        d = ud.parse(KINK)
+        for s1, s2 in ((ud.SemiArcId(0, position), ud.SemiArcId(0, 0)),
+                       (ud.SemiArcId(0, 0), ud.SemiArcId(0, position))):
+            with pytest.raises(ud.ValidationError, match=r"does not exist in its diagram"):
+                ud.connected_sum(d, d, s1, s2)
+
 
 class TestReverse:
     def test_kink(self):

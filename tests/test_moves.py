@@ -523,6 +523,14 @@ class TestRandomWalk:
         with pytest.raises(ud.MoveError, match=r"steps must be >= 0"):
             ud.random_walk(ud.parse(DELTA), -1, RI_KINDS, seed=0)
 
+    @pytest.mark.parametrize("steps", [2.0, "3"])
+    def test_non_int_steps_rejected(self, steps):
+        with pytest.raises(ud.MoveError, match=r"steps must be an integer"):
+            ud.random_walk(ud.parse(DELTA), steps, RI_KINDS, seed=0)
+
+    def test_bool_steps_count_as_int(self):
+        assert len(ud.random_walk(ud.parse(DELTA), True, RI_KINDS, seed=0)) == 1
+
     def test_empty_kinds_rejected(self):
         with pytest.raises(ud.MoveError):
             ud.random_walk(ud.parse("()"), 1, frozenset(), seed=0)
@@ -813,29 +821,39 @@ def _planted_knot(crossings: int) -> ud.Diagram:
     return d
 
 
+def _short_link() -> ud.Diagram:
+    """A link of three components of 84, 30 and 32 passes, with kinks and
+    pokes grown by adds, reparsed so that its maps hold positions."""
+    grown = ud.random_walk(ud.parse(planted_code(random.Random(5), 3)), 30, {ud.RI_ADD, ud.RII_ADD}, seed=5)
+    return ud.parse(ud.serialize(grown[-1][1]))
+
+
 class TestMapWrites:
     """A walk step's map build takes the last step's maps and label lists and
     edits them in place: it writes the entries of the passes its move puts in
     or swaps, deletes those of the passes it takes out and leaves every other
-    entry as it was, however long the component (of at least 128 passes; a
-    shorter one is indexed anew from its first edit).  Only a component whose
-    order labels ran out is indexed anew, and the walk's start is only read."""
+    entry as it was, however long or short the component.  Only a component
+    whose order labels ran out is indexed anew, and the walk's start is only
+    read."""
 
     # (passes put in, passes taken out) per kind: RIII swaps three pairs
     EDITED = {ud.RI_ADD: (2, 0), ud.RII_ADD: (4, 0), ud.RI_REMOVE: (0, 2), ud.RII_REMOVE: (0, 4),
               ud.RIII: (6, 0)}
 
-    @pytest.mark.parametrize("crossings", [100, 1000])
+    @pytest.mark.parametrize("crossings", [30, 100, 1000, pytest.param(None, id="link")])
     def test_writes_do_not_grow_with_the_component(self, monkeypatch, crossings):
-        start, kinds, checked = _planted_knot(crossings), set(), 0
+        start = _planted_knot(crossings) if crossings else _short_link()
+        kinds, checked = set(), 0
         builds = record_builds(monkeypatch)
         # a walk over every kind mostly adds pokes
         for kind_set in (ALL_KINDS, {ud.RI_ADD}, frozenset(LOCAL_KINDS)):
             old = start
-            for i, (mv, step) in enumerate(ud.random_walk(start, 40, kind_set, seed=crossings)):
+            for mv, step in ud.random_walk(start, 40, kind_set, seed=crossings or 3):
+                if mv is None:  # a stall: no move, no build
+                    continue
                 kept, written, deleted, labelled = builds[id(step)]
                 # the first step copies the start's maps and labels; every later one edits its parent's
-                assert set(kept) == {i > 0}, (i, mv)
+                assert set(kept) == {old is not start}, mv
                 edited = {k for k, comp in enumerate(step.components) if comp is not old.components[k]}
                 if edited <= labelled:  # else a component's labels ran out
                     assert (written, deleted) == self.EDITED[mv.kind], mv
@@ -880,32 +898,31 @@ class TestMapWrites:
 
     @pytest.mark.parametrize("crossings", [300, 1000])
     def test_steps_index_no_long_component_anew(self, monkeypatch, crossings):
-        # only the first step may index a long component from position 0, when
-        # the walk's start has no maps to copy; after it, only a component
-        # whose labels ran out is indexed anew, as apply_move's build indexes it
+        # only the first step may index a component anew, when the walk's start
+        # has no maps to copy; after it, only a component whose labels ran out
+        # is indexed anew, as apply_move's build indexes it
         big = ud.parse(random_link_code(random.Random(crossings), 2, crossings, 2))
         unread = ud.apply_move(big, ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 0),)))
         assert "_over_at" not in vars(unread)
         indexed, index = [], diagram._map_roles
 
-        def recorded(maps, components, k, start):
-            indexed.append((components, k, start))
-            index(maps, components, k, start)
+        def recorded(maps, components, k):
+            indexed.append((components, k))
+            index(maps, components, k)
 
         for start, kinds in [(unread, {ud.RI_ADD}), (big, ALL_KINDS),
                              (big, frozenset(LOCAL_KINDS) | {ud.RI_ADD})]:
             monkeypatch.setattr(diagram, "_map_roles", recorded)
             walk = ud.random_walk(start, 60, kinds, seed=crossings)
             monkeypatch.undo()
-            anew = {(i, k) for i, (_, step) in enumerate(walk) for components, k, p in indexed
-                    if components is step.components and p == 0 and len(components[k]) >= 128}
+            anew = {(i, k) for i, (_, step) in enumerate(walk) for components, k in indexed
+                    if components is step.components}
             # the same moves applied one by one, each result read before the next
             ran_out, current = set(), start
             for i, (mv, step) in enumerate(walk):
                 current = ud.apply_move(current, mv)
                 assert current == step
-                ran_out |= {(i, k) for k, comp in enumerate(current.components)
-                            if len(comp) >= 128 and k not in current._labels}
+                ran_out |= {(i, k) for k in range(current.num_components) if k not in current._labels}
             first = {(0, k) for k in range(2)} if start is unread else set()
             assert anew - first <= ran_out and first <= anew, kinds
             indexed.clear()
