@@ -54,37 +54,52 @@ class RiiBound:
         return f"bound={self.bound} certificate={self.certificate} detail={self.detail}"
 
 
-def _weight_sites(d: Diagram, overs):
-    """(under comp, under arc, over comp, over arc, sign) that crossing_weight
-    reads at each (crossing, over position) of overs."""
+def _weight_sites(d: Diagram, overs, rows, n: int) -> list:
+    """(under comp, under color, over comp, over color, sign) of each
+    (crossing, over position) in overs, colors read from rows (a color map or
+    offsets) mod n: a positive crossing reads the under arc before it and the
+    over arc after it, a negative one the under arc after and the over arc
+    before.  The arc before position 0 is the last one, index -1."""
     comps, under_at = d.components, _positions(d, d._under_at)
-    for x, (ko, po) in overs:
-        ku, pu = under_at[x]
-        if comps[ko][po].sign > 0:
-            yield ku, (pu - 1) % len(comps[ku]), ko, po, 1
-        else:
-            yield ku, pu, ko, (po - 1) % len(comps[ko]), -1
+    return [(ku, rows[ku][pu - 1] % n, ko, rows[ko][po] % n, 1) if comps[ko][po].sign > 0
+            else (ku, rows[ku][pu] % n, ko, rows[ko][po - 1] % n, -1)
+            for x, (ko, po) in overs for ku, pu in [under_at[x]]]
 
 
 def _weight_sums(d: Diagram, colorings, table: CocycleTable) -> list[int]:
-    """Weight sum mod m of each color map; one is summed crossing by crossing.
-    Several are all of d's colorings, the first with base colors 0, so its
-    colors are offsets mod n and a crossing's class (components, offsets read,
-    sign) fixes its weight.  Each component pair's classes are priced once per
-    base-color pair that occurs; a coloring then costs one lookup per pair."""
-    value, m, sites = table.value, table.m, _weight_sites(d, _positions(d, d._over_at).items())
-    if len(colorings) < 2:
-        return [sum(value(colors[ku][au], colors[ko][ao], s) for ku, au, ko, ao, s in sites) % m
-                for colors in colorings]
-    first, bases = colorings[0], [[cols[0] for cols in colors] for colors in colorings]
-    groups = {}
+    """Weight sum mod m of each color map: one map, read at base colors 0 (one
+    entry per class), or all of d's colorings, the first with base colors 0,
+    which puts each crossing in a class (components, colors read, sign).  Each
+    unordered component pair's classes are priced once, into a grid over the
+    pair's base colors: n diagonal entries per class for a self pair, an n x n
+    window of the doubled table rows (under component first) or columns for a
+    cross pair.  A coloring then costs one lookup per pair."""
+    if not colorings:
+        return []
+    n, m, entries, first = table.n, table.m, table.entries, colorings[0]
+    span, bases = (n, colorings) if len(colorings) > 1 else (1, [[(0,)] * len(first)])
+    # (sign block, n): the block's rows, (sign block, 1): its columns, all doubled
+    lines = {} if span == 1 or len(first) < 2 else {
+        (block, step): [entries[i:i + n * size:size] * 2 for i in range(block, block + n * step, step)] * 2
+        for block in (0, n * n) for step, size in ((n, 1), (1, n))}
+    pairs = {}
     for (ku, u, ko, o, s), count in Counter(
-            (ku, first[ku][au], ko, first[ko][ao], s) for ku, au, ko, ao, s in sites).items():
-        groups.setdefault((ku, ko), []).append((u, o, s, count))
-    priced = [(ku, ko, {(bu, bo): sum(count * value(bu + u, bo + o, s) for u, o, s, count in group)
-                        for bu, bo in {(b[ku], b[ko]) for b in bases}})
-              for (ku, ko), group in groups.items()]
-    return [sum(p[b[ku], b[ko]] for ku, ko, p in priced) % m for b in bases]
+            _weight_sites(d, _positions(d, d._over_at).items(), first, n)).items():
+        block = 0 if s > 0 else n * n
+        if ku == ko or not lines:  # a self pair's diagonal, or a lone map's one entry
+            item = (count, block, u, o)
+        else:
+            item = (count, lines[block, n], u, o) if ku < ko else (count, lines[block, 1], o, u)
+        pairs.setdefault((ku, ko) if ku <= ko else (ko, ku), []).append(item)
+    totals = [0] * len(bases)
+    for (j, k), classes in pairs.items():
+        grid = ([sum(c * entries[block + (b + x) % n * n + (b + y) % n] for c, block, x, y in classes)
+                 for b in range(span)] if j == k or not lines else
+                list(map(sum, zip(*([c * v for row in rows[x:x + span] for v in row[y:y + span]]
+                                    for c, rows, x, y in classes)))))
+        w = span if j < k else 0
+        totals = [t + grid[b[j][0] * w + b[k][0]] for t, b in zip(totals, bases)]
+    return [t % m for t in totals]
 
 
 def _require_coloring(d: Diagram, c: Coloring, table: CocycleTable):
@@ -99,8 +114,8 @@ def crossing_weight(d: Diagram, c: Coloring, crossing: int, table: CocycleTable)
     under color and outgoing over color, negative ones the outgoing under
     color and incoming over color."""
     _require_coloring(d, c, table)
-    [(ku, au, ko, ao, sign)] = _weight_sites(d, [(crossing, d.over_position(crossing))])
-    return table.value(c.colors[ku][au], c.colors[ko][ao], sign)
+    [(_, u, _, o, sign)] = _weight_sites(d, [(crossing, d.over_position(crossing))], c.colors, table.n)
+    return table.value(u, o, sign)
 
 
 def weight_sum(d: Diagram, c: Coloring, table: CocycleTable) -> int:
@@ -122,7 +137,7 @@ def phi_multiset(d: Diagram, table: CocycleTable, allow_links: bool = False) -> 
     multiset is only proven move-stable for single-component diagrams, so
     the permissive mode is for exploration only.  Past solve_colorings it
     costs one pass over the crossings and one lookup per coloring and
-    component pair; a knot reads n table entries per crossing class.
+    unordered component pair; a knot reads n table entries per crossing class.
     """
     if d.num_components != 1 and not allow_links:
         raise InvariantError(
@@ -142,8 +157,8 @@ def phi_shift(d: Diagram, table: CocycleTable) -> int:
 
     Every coloring of a knot (whose shift is 0) is one color added to the
     semi-arc offsets, and a shiftable table reads only the difference of
-    its arguments, so one pass at color 0, one table read per crossing,
-    gives every coloring's sum.
+    its arguments, so one pass at color 0, one table read per crossing
+    class, gives every coloring's sum.
     """
     if d.num_components != 1:
         raise InvariantError("the scalar weight sum is defined for single-component diagrams")

@@ -46,13 +46,22 @@ MUTANTS = [
     (MOVES, "hand_over=current is not d)", "hand_over=True)",
      ["tests/test_moves.py"], "the first walk step taking the start diagram's maps"),
     # invariants, colorings and diagrams
-    (INVARIANT, "yield ku, (pu - 1) % len(comps[ku]), ko, po, 1", "yield ku, pu, ko, po, 1",
+    (INVARIANT, "(ku, rows[ku][pu - 1] % n, ko, rows[ko][po] % n, 1)", "(ku, rows[ku][pu] % n, ko, rows[ko][po] % n, 1)",
      ["tests/test_invariant.py"], "_weight_sites reading the wrong under arc"),
-    (INVARIANT, "yield ku, pu, ko, (po - 1) % len(comps[ko]), -1", "yield ku, pu, ko, po, -1",
+    (INVARIANT, "(ku, rows[ku][pu] % n, ko, rows[ko][po - 1] % n, -1)", "(ku, rows[ku][pu] % n, ko, rows[ko][po] % n, -1)",
      ["tests/test_invariant.py"], "_weight_sites reading the wrong over arc at a negative crossing"),
-    (INVARIANT, "yield ku, pu, ko, (po - 1) % len(comps[ko]), -1",
-     "yield ku, (pu - 1) % len(comps[ku]), ko, (po - 1) % len(comps[ko]), -1",
+    (INVARIANT, "(ku, rows[ku][pu] % n, ko, rows[ko][po - 1] % n, -1)",
+     "(ku, rows[ku][pu - 1] % n, ko, rows[ko][po - 1] % n, -1)",
      ["tests/test_invariant.py"], "_weight_sites reading the wrong under arc at a negative crossing"),
+    # the weight-sum kernel's pricing
+    (INVARIANT, "block = 0 if s > 0 else n * n", "block = 0",
+     ["tests/test_invariant.py"], "_weight_sums pricing negative crossings from the plus block"),
+    (INVARIANT, "(count, lines[block, 1], o, u)", "(count, lines[block, 1], u, o)",
+     ["tests/test_invariant.py"], "_weight_sums rotating the columns the wrong way when the under component is later"),
+    (INVARIANT, "entries[block + (b + x) % n * n + (b + y) % n]", "entries[block + (b + x) % n * n + y]",
+     ["tests/test_invariant.py"], "_weight_sums reading a self pair off a row, not the diagonal"),
+    (INVARIANT, "(count, lines[block, n], u, o) if", "(count, lines[block, 1], o, u) if",
+     ["tests/test_invariant.py"], "_weight_sums reading columns when the under component is earlier"),
     (INVARIANT, "RiiBound((abs(g1 - g2) + 1) // 2, CERT_MAXORD",
      "RiiBound(abs(g1 - g2) // 2, CERT_MAXORD",
      ["tests/test_invariant.py"], "the maxord bound rounding down"),

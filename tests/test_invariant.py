@@ -1,5 +1,6 @@
 """Crossing weights, weight-sum multisets and the RII-move certificates."""
 
+import itertools
 import random
 
 import pytest
@@ -44,6 +45,23 @@ KERNEL_TABLES = {"f": F, "g": G, "nonshift": NONSHIFT,
                  "6-3": ud.enumerate_shiftable(6, 3)[-1], "8-2": ud.enumerate_shiftable(8, 2)[-1]}
 
 
+RI_RIII = frozenset({ud.RI_ADD, ud.RI_REMOVE, ud.RIII})
+
+
+def every_pair_link(rng: random.Random, n: int) -> ud.Diagram:
+    """A seeded 4-component random_link_code link plus, for every two
+    components, a crossing each way at random positions; every component
+    shift stays a multiple of n."""
+    d = ud.parse(random_link_code(rng, 4, rng.randint(8, 16), n))
+    comps, x = [list(comp) for comp in d.components], d.max_crossing_id()
+    for pair in itertools.combinations(range(4), 2):
+        for over, under in (pair, pair[::-1]):
+            x, sign = x + 1, rng.choice((1, -1))
+            for k, role in ((over, ud.OVER), (under, ud.UNDER)):
+                comps[k].insert(rng.randint(0, len(comps[k])), ud.Pass(x, role, sign))
+    return ud.Diagram(comps)
+
+
 def as_arc_map(c):
     return {ud.SemiArcId(k, p): v for k, comp in enumerate(c.colors) for p, v in enumerate(comp)}
 
@@ -65,10 +83,27 @@ def crossing_classes(d, base):
     return classes
 
 
+class CountingEntries(tuple):
+    """A table's entries that log each read into `reads`: one per index, a
+    slice's length per slice."""
+
+    def __getitem__(self, key):
+        self.reads.append(len(range(*key.indices(len(self)))) if isinstance(key, slice) else 1)
+        return super().__getitem__(key)
+
+
 def count_reads(monkeypatch) -> list:
-    reads, real = [], ud.CocycleTable.value
-    monkeypatch.setattr(ud.CocycleTable, "value",
-                        lambda t, a, b, s: reads.append((a, b, s)) or real(t, a, b, s))
+    """Counts of the table entries _weight_sums reads: it is handed a copy of
+    its table whose entries count their reads, so the cocycle check's reads
+    are left out."""
+    reads, real = [], ud.invariant._weight_sums
+
+    def counted(d, colorings, table):
+        copy, entries = ud.CocycleTable(table.n, table.m, table.entries), CountingEntries(table.entries)
+        entries.reads, vars(copy)["entries"] = reads, entries
+        return real(d, colorings, copy)
+
+    monkeypatch.setattr(ud.invariant, "_weight_sums", counted)
     return reads
 
 
@@ -174,19 +209,27 @@ class TestPhiMultiset:
     def test_multiset_formatting(self):
         assert str(ud.phi_multiset(ud.parse(DELTA), F)) == "{1,1,1,1}"
 
-    # seeded 2- and 3-component links of 20-60 crossings and knots of 100+,
-    # where crossings share classes and links mix base colors
+    # seeded 2- and 3-component links of 20-60 crossings, knots of 100+, a
+    # 4-component link with crossings both ways between every two components
+    # and a labelled walk result, where crossings share classes and links mix
+    # base colors; every link's colorings are also summed one at a time
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", KERNEL_TABLES)
     def test_matches_per_coloring_sums(self, seed, name):
         table = KERNEL_TABLES[name]
         rng = random.Random(f"kernel:{name}:{seed}")
-        for components, low, high in ((2, 20, 60), (3, 20, 60), (1, 100, 160)):
-            d = ud.parse(random_link_code(rng, components, rng.randint(low, high), table.n))
+        diagrams = [ud.parse(random_link_code(rng, components, rng.randint(low, high), table.n))
+                    for components, low, high in ((2, 20, 60), (3, 20, 60), (1, 100, 160))]
+        diagrams.append(every_pair_link(rng, table.n))
+        walked = ud.random_walk(diagrams[1], 30, RI_RIII, seed)[-1][1]
+        assert walked._labels and walked.num_crossings != diagrams[1].num_crossings
+        for d in diagrams + [walked]:
             found = ud.solve_colorings(d, ud.ColoringSpec(table.n))
-            assert len(found) == table.n ** components
-            expected = sorted(brute_weight_sum(d, as_arc_map(c), table) for c in found)
-            assert ud.phi_multiset(d, table, allow_links=True).elements == tuple(expected)
+            assert len(found) == table.n ** d.num_components
+            sums = [brute_weight_sum(d, as_arc_map(c), table) for c in found]
+            assert ud.phi_multiset(d, table, allow_links=True).elements == tuple(sorted(sums))
+            if d.num_components > 1:
+                assert [ud.weight_sum(d, c, table) for c in found] == sums
 
     def test_knot_table_reads_bounded(self, monkeypatch):
         # a knot reads n entries per crossing class, never a full n x n grid
@@ -194,14 +237,14 @@ class TestPhiMultiset:
         table, reads = ud.CocycleTable.zero(64, 2), count_reads(monkeypatch)
         assert ud.phi_multiset(d, table).elements == (0,) * 64
         first = ud.solve_colorings(d, ud.ColoringSpec(64))[0]
-        assert 0 < len(reads) <= 64 * len(crossing_classes(d, first)) <= 64 * d.num_crossings
+        assert 0 < sum(reads) <= 64 * len(crossing_classes(d, first)) <= 64 * d.num_crossings
 
     def test_link_table_reads_below_per_coloring(self, monkeypatch):
         d = ud.parse(random_link_code(random.Random(8), 3, 40, 8))
         table = ud.enumerate_shiftable(8, 2)[-1]
         reads = count_reads(monkeypatch)
         assert len(ud.phi_multiset(d, table, allow_links=True).elements) == 512
-        assert 0 < len(reads) < 512 * d.num_crossings
+        assert 0 < sum(reads) < 512 * d.num_crossings
 
 
 class TestPhiShift:
