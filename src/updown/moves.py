@@ -28,7 +28,8 @@ The local kinds (RI-remove, RII-remove, RIII) are decided by one scan,
 _local_moves, which reads each adjacent pass pair once, skips an over pair
 with no crossing beside both its under passes (every poke and slide site
 has one) and looks slides up in _RIII_ROWS.  enumerate_moves scans every
-position; random_walk does once, then only next to each move (_rescan).
+position; random_walk does once, then only next to each move (_rescan),
+carrying the list between steps with its sites at labels, which never move.
 _edits checks a move of either kind against a diagram, scanning only its
 first site, and describes it as slice edits of the pass sequences, which
 Diagram._rewritten applies without re-validating and _rescan reads.
@@ -37,7 +38,7 @@ Diagram._rewritten applies without re-validating and _rescan reads.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple
@@ -205,16 +206,21 @@ class _MoveIndex:
     Index i enumerates, in order, the RI-add block (arcs major, variants
     minor), the RI-remove descriptors, the RII-add block (ordered arc pairs
     major, variants minor) and the RII-remove then RIII descriptors; this
-    matches the order of enumerate_moves exactly.  local, when given, is the
-    diagram's sorted RI-remove, RII-remove and RIII list, which random_walk
-    carries from step to step, rescanning only the pass pairs next to the
-    last move (_rescan); otherwise every position is scanned.
+    matches the order of enumerate_moves exactly.  local, the sorted
+    RI-remove, RII-remove and RIII list, sites each pair as the maps do:
+    (k, label) on a component with labels (rows), else (k, position); labels
+    grow with position, so the order is the same.  random_walk carries local
+    from step to step, rescanning only next to the last move (_rescan);
+    given none, every position is scanned.
     """
 
     def __init__(self, d: Diagram, kinds, local=None):
-        bad = set(kinds) - MOVE_KINDS
-        if bad:
-            raise MoveError(f"unknown move kinds: {sorted(bad)}")
+        try:  # a str would read as a collection of one-letter kinds
+            self.kinds = kinds = frozenset(None if isinstance(kinds, str) else kinds)
+        except TypeError:  # not a collection, or an unhashable item
+            raise MoveError(f"kinds must be a collection of move kinds, got {_shown(kinds)!r}") from None
+        if kinds - MOVE_KINDS:
+            raise MoveError(f"unknown move kinds: {sorted(map(_shown, kinds - MOVE_KINDS), key=str)}")
         # arc i is (k, i - starts[k]) for the last k with starts[k] <= i
         self.starts = list(accumulate((d.arc_count(k) for k in range(d.num_components)),
                                       initial=0))
@@ -223,15 +229,13 @@ class _MoveIndex:
         fits = {kind: kind in kinds and top + fresh < _ID_LIMIT for kind, fresh in _FRESH_IDS.items()}
         self.ri_add = len(_RI_VARIANTS) * n_arcs * fits[RI_ADD]
         self.rii_add = len(_RII_VARIANTS) * n_arcs * (n_arcs - 1) * fits[RII_ADD]
-        if local is None:
-            local = []
-            if kinds & _LOCAL_KINDS:
-                for k, comp in enumerate(d.components):
-                    local += _local_moves(d, kinds, k, range(len(comp)))
-            # RI-remove < RII-remove < RIII in the key, so the sort splits by kind
-            local.sort(key=_descriptor_key)
+        self.rows = d._labels if kinds & _LOCAL_KINDS else {}  # else an unread d stays unread
+        if local is None:  # RI-remove < RII-remove < RIII in the key, so the sort splits by kind
+            local = sorted((_sited(mv, self.rows, True) if self.rows else mv
+                            for k, comp in enumerate(d.components) if kinds & _LOCAL_KINDS
+                            for mv in _local_moves(d, kinds, k, range(len(comp)))), key=_descriptor_key)
         self.local = local
-        self.n_ri_remove = sum(mv.kind == RI_REMOVE for mv in local)
+        self.n_ri_remove = bisect_left(local, RII_REMOVE, key=attrgetter("kind"))
         self.total = self.ri_add + self.rii_add + len(local)
 
     def _arc(self, i: int) -> tuple[int, int]:
@@ -239,75 +243,69 @@ class _MoveIndex:
         return k, i - self.starts[k]
 
     def descriptor(self, idx: int) -> MoveDescriptor:
+        """Move idx, its sites as positions."""
         if idx < self.ri_add:
             arc, var = divmod(idx, len(_RI_VARIANTS))
             return MoveDescriptor(RI_ADD, _RI_VARIANTS[var], (self._arc(arc),))
         idx -= self.ri_add
-        if idx < self.n_ri_remove:
-            return self.local[idx]
-        idx -= self.n_ri_remove
-        if idx < self.rii_add:
-            pair, var = divmod(idx, len(_RII_VARIANTS))
+        if self.n_ri_remove <= idx < self.n_ri_remove + self.rii_add:
+            pair, var = divmod(idx - self.n_ri_remove, len(_RII_VARIANTS))
             i, r = divmod(pair, self.starts[-1] - 1)
             j = r if r < i else r + 1
             return MoveDescriptor(RII_ADD, _RII_VARIANTS[var], (self._arc(i), self._arc(j)))
-        return self.local[self.n_ri_remove + idx - self.rii_add]
+        mv = self.local[idx if idx < self.n_ri_remove else idx - self.rii_add]
+        return _sited(mv, self.rows, False) if self.rows else mv
 
 
-def _rescan(old: Diagram, new: Diagram, edits, kinds,
-            local: list[MoveDescriptor]) -> list[MoveDescriptor]:
-    """The sorted local descriptors of new, from those of old (local) and the
-    slice edits (_edits) that turned old into new.
+def _sited(mv: MoveDescriptor, rows, to_labels: bool) -> MoveDescriptor:
+    """mv with each site on a labelled component (rows: k -> its labels) moved
+    from its position to its label (to_labels), or back."""
+    return MoveDescriptor(mv.kind, mv.variant, tuple(
+        site if (row := rows.get(site[0])) is None
+        else (site[0], row[site[1]] if to_labels else bisect_left(row, site[1])) for site in mv.sites))
+
+
+def _rescan(old: Diagram, labels, new: Diagram, edits, kinds,
+            local: list[MoveDescriptor]) -> list[MoveDescriptor] | None:
+    """The sorted local descriptors of new, sited as _MoveIndex's, from
+    those of old (local), old's label lists (labels, read before new's build
+    edits them in place) and the slice edits (_edits) that turned old into
+    new; None when new indexed an edited component anew, moving its sites.
 
     A local descriptor's legality depends only on the passes of its pairs
     and on their adjacency.  An edit of component k breaks the pairs that
     start at positions start-1..stop-1: those holding a pass it replaces,
     and for an add the one pair either side of its cut.  Every other pair
-    keeps its two passes, adjacent, shifted by the edits of k before it, so
-    a cached descriptor none of whose pairs broke survives at its shifted
-    sites, and these positions are computed, not read from new's maps.  A
-    pair that became adjacent has both passes on touched crossings: an
-    edit's new passes and its old passes at start-1..stop.  Each pair of a
-    site holds a crossing whose over pass lies in the site's first pair
-    (RI: the kink; RII: a or b; RIII: TM in the M pair, TB in the B pair),
-    touched when the pair is new, so scanning at q-1 and q, for the over
-    pass q of every touched crossing, finds every new site.
+    keeps its two passes, adjacent, at their labels (an unlabelled
+    component's positions are its first labels), so a cached descriptor
+    none of whose pairs broke survives as it is.  A pair that became
+    adjacent has both passes on touched crossings: an edit's new passes and
+    its old passes at start-1..stop.  Each pair of a site holds a crossing
+    whose over pass lies in the site's first pair (RI: the kink; RII: a or
+    b; RIII: TM in the M pair, TB in the B pair), touched when the pair is
+    new, so scanning at q-1 and q, for the over pass q of every touched
+    crossing, finds every new site, and replaces the cached ones there.
     """
-    touched, edited = set(), {}  # edited: k -> (edit stops, shift past each, broken pairs)
+    touched, broken = set(), set()
     for k, start, stop, passes in edits:
-        comp = old.components[k]
-        touched.update(comp[i % len(comp)].crossing for i in range(start - 1, stop + 1) if comp)
+        comp, row = old.components[k], labels.get(k)
         touched.update(pas.crossing for pas in passes)
-        stops, shift, broken = edited.get(k) or edited.setdefault(k, ([], [0], set()))
-        stops.append(stop)
-        shift.append(shift[-1] + len(passes) - (stop - start))
-        broken.update(range(start, stop), [(start - 1) % len(comp)] if comp else ())
+        if comp:
+            touched.update(comp[i % len(comp)].crossing for i in range(start - 1, stop + 1))
+            broken.update((k, row[i] if row else i % len(comp)) for i in range(start - 1, stop))
+    rows = new._labels  # builds new's maps
+    if any(k not in rows for k, _, _, _ in edits):
+        return None
     over_at = _positions(new, new._over_at)
     rescanned: dict[int, set[int]] = {}
     for x in touched & new._over_at.keys():
         k, q = over_at[x]
         rescanned.setdefault(k, set()).update(((q - 1) % len(new.components[k]), q))
-    out = []
-    for cached in local:
-        sites = []
-        for site in cached.sites:
-            k, p = site
-            if k in edited:
-                stops, shift, broken = edited[k]
-                if p in broken:
-                    break
-                if p >= stops[0]:  # else before every edit, where no pair moves
-                    site = k, p + shift[bisect_right(stops, p)]
-            sites.append(site)
-        else:
-            sites = tuple(sites)
-            k, p = sites[0]
-            if p not in rescanned.get(k, ()):
-                out.append(cached if sites == cached.sites
-                           else MoveDescriptor(cached.kind, cached.variant, sites))
+    first = {(k, rows[k][p] if k in rows else p) for k, ps in rescanned.items() for p in ps}
+    out = [mv for mv in local if mv.sites[0] not in first and broken.isdisjoint(mv.sites)]
     for k, positions in rescanned.items():
-        out += _local_moves(new, kinds, k, positions)
-    out.sort(key=_descriptor_key)
+        for mv in _local_moves(new, kinds, k, positions):
+            insort(out, _sited(mv, rows, True), key=_descriptor_key)
     return out
 
 
@@ -315,12 +313,13 @@ def enumerate_moves(d: Diagram, kinds) -> list[MoveDescriptor]:
     """All applicable descriptors of the requested kinds, sorted by
     (kind, sites, variant).  More than 10**6 of them raise MoveError
     before any descriptor is built."""
-    index = _MoveIndex(d, frozenset(kinds))
+    index = _MoveIndex(d, kinds)
     if index.total > _LISTING_BUDGET:
         raise MoveError(f"move descriptors exceed the listing budget of {_LISTING_BUDGET}")
     # the blocks in _MoveIndex order, the add blocks straight from the arc list
     arcs = [(k, p) for k in range(d.num_components) for p in range(d.arc_count(k))]
-    local, n = index.local, index.n_ri_remove
+    local = [_sited(mv, index.rows, False) for mv in index.local] if index.rows else index.local
+    n = index.n_ri_remove
     return ([MoveDescriptor(RI_ADD, v, (a,)) for a in arcs if index.ri_add for v in _RI_VARIANTS]
             + local[:n] + [MoveDescriptor(RII_ADD, v, (a, b)) for a in arcs if index.rii_add
                            for b in arcs if a != b for v in _RII_VARIANTS] + local[n:])
@@ -426,29 +425,32 @@ def random_walk(d: Diagram, steps: int, kinds, seed: int
     Each step picks uniformly among all applicable descriptors of the
     requested kinds; a step with no applicable move is recorded as a stall
     (None descriptor, unchanged diagram).  Identical arguments always give
-    identical trajectories.  _rescan's read builds each step's maps, from
-    the last step's, which that step hands over (_rewritten): only the
-    final diagram keeps its maps, and d's are only read.
+    identical trajectories, so seed must be an int.  _rescan's read builds
+    each step's maps, from the last step's, which that step hands over
+    (_rewritten): only the final diagram keeps its maps, and d's are only
+    read; the carried descriptors keep label sites (_MoveIndex).
     """
-    kinds = frozenset(kinds)
-    if not kinds:
-        raise MoveError("kinds must be nonempty")
     if not isinstance(steps, int):
         raise MoveError(f"steps must be an integer, got {type(steps).__name__}")
     if steps < 0:
         raise MoveError("steps must be >= 0")
+    if not isinstance(seed, int):
+        raise MoveError(f"seed must be an integer, got {type(seed).__name__}")
+    index, local = _MoveIndex(d, kinds), None  # the first step's; it checks kinds
+    kinds = index.kinds
+    if not kinds:
+        raise MoveError("kinds must be nonempty")
     rng = random.Random(seed)
-    trajectory = []
-    current, local = d, None
+    trajectory, current = [], d
     for _ in range(steps):
-        index = _MoveIndex(current, kinds, local)
-        local = index.local
+        index = index or _MoveIndex(current, kinds, local)  # none past the last step
         if index.total == 0:
             trajectory.append((None, current))
             continue
         mv = index.descriptor(rng.randrange(index.total))
         edits = _edits(current, mv)
+        labels = vars(current).get("_labels", {})  # before the hand-over: new's build edits them
         new = current._rewritten(edits, hand_over=current is not d)  # steps are the walk's own
-        current, local = new, _rescan(current, new, edits, kinds, local)
+        current, local, index = new, _rescan(current, labels, new, edits, kinds, index.local), None
         trajectory.append((mv, current))
     return trajectory

@@ -45,6 +45,23 @@ MUTANTS = [
      ["tests/test_moves.py"], "RIII taking MB's over pass for its B strand pass"),
     (MOVES, "hand_over=current is not d)", "hand_over=True)",
      ["tests/test_moves.py"], "the first walk step taking the start diagram's maps"),
+    # the carried local list, in the maps' coordinates
+    (MOVES, "    if any(k not in rows for k, _, _, _ in edits):\n", "    if False:\n",
+     ["tests/test_moves.py"], "_rescan carrying sites past a component indexed anew"),
+    (MOVES, "if mv.sites[0] not in first and broken.isdisjoint(mv.sites)]",
+     "if (first | broken).isdisjoint(mv.sites)]",
+     ["tests/test_moves.py"], "_rescan dropping a descriptor with any site rescanned, not its first"),
+    (MOVES, "        labels = vars(current).get(\"_labels\", {})  # before the hand-over: new's build edits them\n"
+     "        new = current._rewritten(edits, hand_over=current is not d)  # steps are the walk's own\n",
+     "        new = current._rewritten(edits, hand_over=current is not d)  # steps are the walk's own\n"
+     "        labels = vars(current).get(\"_labels\", {})  # before the hand-over: new's build edits them\n",
+     ["tests/test_moves.py"], "random_walk reading a step's labels after it handed them over"),
+    (MOVES, "return _sited(mv, self.rows, False) if self.rows else mv", "return mv",
+     ["tests/test_moves.py"], "the drawn local move keeping its label sites"),
+    (MOVES, "(_sited(mv, self.rows, True) if self.rows else mv", "(mv",
+     ["tests/test_moves.py"], "a full scan of a labelled diagram keeping position sites"),
+    (MOVES, "for mv in index.local] if index.rows else", "for mv in index.local] if False else",
+     ["tests/test_moves.py"], "enumerate_moves listing a labelled diagram's label sites"),
     # invariants, colorings and diagrams
     (INVARIANT, "(ku, rows[ku][pu - 1] % n, ko, rows[ko][po] % n, 1)", "(ku, rows[ku][pu] % n, ko, rows[ko][po] % n, 1)",
      ["tests/test_invariant.py"], "_weight_sites reading the wrong under arc"),

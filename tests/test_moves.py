@@ -133,6 +133,20 @@ class TestEnumerateBasics:
         with pytest.raises(ud.MoveError):
             ud.enumerate_moves(ud.parse("()"), {"RIV"})
 
+    @pytest.mark.parametrize("kinds", ["RI-add", None, 3, [["RI-add"]], [{ud.RIII}]],
+                             ids=["str", "None", "int", "list-item", "set-item"])
+    def test_kinds_not_a_collection_rejected(self, kinds):
+        # a bare str would read as its letters, and None, an int or an
+        # unhashable item would raise from inside frozenset
+        d = ud.parse(KINK)
+        for call in (lambda: ud.enumerate_moves(d, kinds), lambda: ud.random_walk(d, 2, kinds, 0)):
+            with pytest.raises(ud.MoveError, match=r"^kinds must be a collection of move kinds, got "):
+                call()
+
+    def test_unknown_kinds_of_mixed_types_named(self):
+        with pytest.raises(ud.MoveError, match=r"^unknown move kinds: \[1, 'RIV'\]$"):
+            ud.enumerate_moves(ud.parse("()"), {"RIV", 1, ud.RI_ADD})
+
     def test_output_is_sorted(self):
         d = ud.parse("O1+ U1+ ; O2- U2-")
         moves = ud.enumerate_moves(d, ALL_KINDS)
@@ -528,6 +542,13 @@ class TestRandomWalk:
         with pytest.raises(ud.MoveError, match=r"steps must be an integer"):
             ud.random_walk(ud.parse(DELTA), steps, RI_KINDS, seed=0)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, "7", [1], {}],
+                             ids=["None", "float", "str", "list", "dict"])
+    def test_non_int_seed_rejected(self, seed):
+        # None would draw from the system's entropy, so equal calls would differ
+        with pytest.raises(ud.MoveError, match=r"^seed must be an integer, got "):
+            ud.random_walk(ud.parse(DELTA), 5, RI_KINDS, seed)
+
     def test_bool_steps_count_as_int(self):
         assert len(ud.random_walk(ud.parse(DELTA), True, RI_KINDS, seed=0)) == 1
 
@@ -577,9 +598,10 @@ class TestCarriedIndex:
         kinds = local | adds
         checked = []
 
-        def rescan(old, new, edits, kinds, carried):
-            out = _rescan(old, new, edits, kinds, carried)
-            assert out == _MoveIndex(new, kinds).local, (ud.serialize(old), edits)
+        def rescan(old, labels, new, edits, kinds, carried):
+            out = _rescan(old, labels, new, edits, kinds, carried)
+            if out is not None:  # else an edited component was indexed anew: the next step scans all
+                assert out == _MoveIndex(new, kinds).local, (ud.serialize(old), edits)
             checked.append(edits)
             return out
 
@@ -588,15 +610,45 @@ class TestCarriedIndex:
             ud.random_walk(ud.parse(code), 30, kinds, seed=i)
         assert len(checked) >= 50
 
+    def test_relabelled_component_rescans_all(self, monkeypatch):
+        # 32 RI-adds on arc 1 leave the trefoil's labels at positions 1..4 a
+        # float or two apart, so walks from it soon add where no label fits:
+        # the component is indexed anew, its sites move, and the next step
+        # must scan all of it; the carried list, read back as positions, must
+        # equal the reparsed diagram's scan at every step
+        start = ud.parse(TREFOIL)
+        for _ in range(32):  # each result read, so its maps hold labels
+            start = ud.apply_move(start, ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 1),)))
+            assert 0 in start._labels
+        local, relabelled = frozenset(LOCAL_KINDS), []
+
+        def rescan(old, labels, new, edits, kinds, carried):
+            listed = ud.enumerate_moves(ud.parse(ud.serialize(old)), local)
+            assert [moves._sited(mv, labels, False) for mv in carried] == listed
+            out = _rescan(old, labels, new, edits, kinds, carried)
+            if any(k not in new._labels for k, _, _, _ in edits):
+                relabelled.append(edits)
+            else:
+                assert out == _MoveIndex(new, kinds).local, (ud.serialize(old), edits)
+            return out
+
+        monkeypatch.setattr(moves, "_rescan", rescan)
+        for seed in range(4):
+            walk = ud.random_walk(start, 30, ALL_KINDS, seed)
+            assert walk == ud.random_walk(ud.parse(ud.serialize(start)), 30, ALL_KINDS, seed)
+        assert len(relabelled) >= 3
+
     def test_survivors_drop_by_broken_pair(self):
         # the kink lands inside no pair of the slide at (0,11),(0,13),(0,9),
         # though the slide's MB crossing 1 sits next to the kink's site
         d = ud.parse("O1- U2+ O2+ U3- O3- U4- O4- U1- U5+ O5+ O6- U6-")
         mv = ud.MoveDescriptor(ud.RI_ADD, "OU+", ((0, 1),))
         new = ud.apply_move(d, mv)
-        carried = _rescan(d, new, _edits(d, mv), ALL_KINDS, _MoveIndex(d, ALL_KINDS).local)
+        carried = _rescan(d, d._labels, new, _edits(d, mv), ALL_KINDS, _MoveIndex(d, ALL_KINDS).local)
         assert carried == _MoveIndex(new, ALL_KINDS).local
-        assert ((0, 11), (0, 13), (0, 9)) in [m.sites for m in carried if m.kind == ud.RIII]
+        # carried sites are order labels; read them back as positions
+        slides = [moves._sited(m, new._labels, False).sites for m in carried if m.kind == ud.RIII]
+        assert ((0, 11), (0, 13), (0, 9)) in slides
 
 
 def _wrapping_slides():
