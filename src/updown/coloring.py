@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .diagram import _ID_LIMIT, OVER, Diagram, SemiArcId, _semi_arc_offsets
+from .diagram import _ID_LIMIT, Diagram, SemiArcId, _semi_arc_offsets, component_shift
 from .errors import UpDownError
 
 
@@ -65,13 +65,10 @@ def _power_within(n: int, r: int, budget: int) -> int | None:
 
 def _component_offsets(d: Diagram, spec: ColoringSpec) -> list[tuple[int, ...]] | None:
     """Each component's semi-arc offsets under the spec's weights, or None
-    when the modulus does not divide some component's shift.  This is the
-    colorability test: the diagram has colorings exactly when it is not None."""
-    weights = (spec.pos_shift, spec.neg_shift)
-    walks = [_semi_arc_offsets(d, k, weights) for k in range(d.num_components)]
-    if any(shift % spec.modulus for _, shift in walks):
+    when the diagram is not colorable; offsets are built only when it is."""
+    if not is_colorable(d, spec):
         return None
-    return [offsets for offsets, _ in walks]
+    return [_semi_arc_offsets(d, k, (spec.pos_shift, spec.neg_shift)) for k in range(d.num_components)]
 
 
 def _require_total(d: Diagram, c: Coloring):
@@ -115,7 +112,7 @@ def count_colorings(d: Diagram, spec: ColoringSpec) -> int:
     """n**r when the diagram is colorable, else 0.  A count of 10**4000 or
     more raises ColoringError."""
     n, r = spec.modulus, d.num_components
-    if _component_offsets(d, spec) is None:
+    if not is_colorable(d, spec):
         return 0
     count = _power_within(n, r, _COUNT_BUDGET)
     if count is None:
@@ -124,18 +121,19 @@ def count_colorings(d: Diagram, spec: ColoringSpec) -> int:
 
 
 def is_colorable(d: Diagram, spec: ColoringSpec) -> bool:
-    """True when n divides every component shift (see _component_offsets)."""
-    return _component_offsets(d, spec) is not None
+    """True when n divides every component_shift under the spec's weights."""
+    weights = (spec.pos_shift, spec.neg_shift)
+    return not any(component_shift(d, k, weights) % spec.modulus for k in range(d.num_components))
 
 
 def maxord(d: Diagram) -> int:
     """Greatest common divisor of the absolute component shifts.
 
     This is the largest n for which the diagram is colorable with unit
-    shifts, with 0 meaning every n works.  Each shift is counted as over
-    passes less under passes; for two components, either one's |over - under|.
+    shifts, with 0 meaning every n works: the gcd of component_shift's role
+    counts, over less under passes; for two components, either one's |shift|.
     """
-    return math.gcd(*(2 * [pas.role for pas in comp].count(OVER) - len(comp) for comp in d.components))
+    return math.gcd(*(component_shift(d, k) for k in range(d.num_components)))
 
 
 def shift_coloring(c: Coloring, i: int) -> Coloring:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NoReturn
 
 from .errors import UpDownError
@@ -385,36 +386,41 @@ def semi_arcs(d: Diagram) -> list[SemiArcId]:
             for p in range(d.arc_count(k))]
 
 
-def _semi_arc_offsets(d: Diagram, index: int,
-                      weights: tuple[int, int]) -> tuple[tuple[int, ...], int]:
-    """Offsets of one component's semi-arcs from semi-arc 0, and its shift.
+def _semi_arc_offsets(d: Diagram, index: int, weights: tuple[int, int]) -> tuple[int, ...]:
+    """Offsets of one component's semi-arcs from semi-arc 0.
 
     A pass steps the color by +w over and -w under, w being weights[0] at
     positive crossings and weights[1] at negative ones.  Semi-arc p follows
-    pass p, and the shift is the total of all the component's steps.
+    pass p, so its offset sums the steps of passes 1..p (see component_shift).
     """
-    pos_w, neg_w = weights
-    comp = d.components[index]
-    offsets = [0]
-    for pas in comp[1:] + comp[:1]:
-        w = pos_w if pas.sign > 0 else neg_w
-        offsets.append(offsets[-1] + (w if pas.role == OVER else -w))
-    shift = offsets.pop() if comp else 0
-    return tuple(offsets), shift
+    plus, minus = {OVER: weights[0], UNDER: -weights[0]}, {OVER: weights[1], UNDER: -weights[1]}
+    return tuple(accumulate([(plus if pas.sign > 0 else minus)[pas.role] for pas in d.components[index][1:]],
+                            initial=0))
 
 
 def component_shift(d: Diagram, index: int, weights: tuple[int, int] = (1, 1)) -> int:
-    """Signed weight total of the passes of one component.
+    """Signed weight total of the passes of one component, by counting roles.
 
     An over pass adds +w and an under pass adds -w, where w is weights[0]
-    at positive crossings and weights[1] at negative ones.  The two passes
-    of a self-crossing share a sign and cancel, so only non-self crossings
-    count.  With weights (1, 1) this is the over-minus-under count
-    governing colorability.
+    at positive crossings and weights[1] at negative ones, so the total is
+    weights[1] * (2 * #over - #passes) plus, over the positive passes alone,
+    (weights[0] - weights[1]) * (2 * #over - #passes).  A self-crossing's two
+    passes share a sign and cancel, so only non-self crossings count.  The
+    diagram has colorings mod n exactly when n divides every component's shift.
+    An index not an int in range raises IndexError, weights not two ints ValidationError.
     """
-    if not 0 <= index < d.num_components:
-        raise IndexError(f"component index {index} out of range")
-    return _semi_arc_offsets(d, index, weights)[1]
+    if not (isinstance(index, int) and 0 <= index < d.num_components):
+        raise IndexError("component index out of range")  # no value: an int past 4300 digits has no str
+    pair = isinstance(weights, (tuple, list))
+    if not (pair and len(weights) == 2 and isinstance(weights[0], int) and isinstance(weights[1], int)):
+        types = [type(w).__name__ for w in weights[:3]] if pair else type(weights).__name__
+        raise ValidationError(f"weights must be two ints, got {types}")  # types: an int may pass str()'s limit
+    comp, (pos_w, neg_w) = d.components[index], weights
+    shift = neg_w * (2 * [pas.role for pas in comp].count(OVER) - len(comp))
+    if pos_w != neg_w:
+        plus = [pas.role for pas in comp if pas.sign > 0]
+        shift += (pos_w - neg_w) * (2 * plus.count(OVER) - len(plus))
+    return shift
 
 
 def connected_sum(d1: Diagram, d2: Diagram, s1: SemiArcId, s2: SemiArcId) -> Diagram:

@@ -14,8 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .cocycle import CocycleTable, check_shiftable_system, cocycle_violation
-from .coloring import Coloring, ColoringSpec, _component_offsets, _require_total, maxord, solve_colorings
-from .diagram import Diagram, _positions
+from .coloring import Coloring, ColoringSpec, _require_total, maxord, solve_colorings
+from .diagram import Diagram, _positions, _semi_arc_offsets
 from .errors import UpDownError
 
 CERT_MAXORD = "maxord-difference"
@@ -155,18 +155,17 @@ def _multiset(d: Diagram, table: CocycleTable) -> WeightMultiset:
 def phi_shift(d: Diagram, table: CocycleTable) -> int:
     """The common weight sum of a knot diagram under a shiftable cocycle.
 
-    Every coloring of a knot (whose shift is 0) is one color added to the
-    semi-arc offsets, and a shiftable table reads only the difference of
-    its arguments, so one pass at color 0, one table read per crossing
-    class, gives every coloring's sum.
+    A knot's shift is always 0, so its unit-weight semi-arc offsets are a
+    coloring, and every coloring is one color added to them.  A shiftable
+    table reads only the difference of its arguments, so one pass over the
+    offsets, one table read per crossing class, gives every coloring's sum.
     """
     if d.num_components != 1:
         raise InvariantError("the scalar weight sum is defined for single-component diagrams")
     if not check_shiftable_system(table):  # a shiftable cocycle passes; report why not
         _require_cocycle(table)
         raise InvariantError("the scalar weight sum needs a shiftable cocycle")
-    offsets = _component_offsets(d, ColoringSpec(table.n))
-    return _weight_sums(d, [offsets], table)[0]
+    return _weight_sums(d, [[_semi_arc_offsets(d, 0, (1, 1))]], table)[0]
 
 
 def _require_same_components(d1: Diagram, d2: Diagram):

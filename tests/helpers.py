@@ -1,10 +1,11 @@
 """Shared fixtures and independent oracles used across the test suite.
 
 The brute-force oracles here deliberately avoid the library's propagation
-solver, position bookkeeping, closed-form cocycle search and move scan:
-colorings are found by filtering every possible color assignment, weight
-sums walk the pass sequences directly, shiftable cocycles are found by
-filtering every difference table through the nine conditions, condition
+solver, position bookkeeping, role counts, closed-form cocycle search and
+move scan: colorings are found by filtering every possible color
+assignment, component shifts are summed pass by pass, weight sums walk the
+pass sequences directly, shiftable cocycles are found by filtering every
+difference table through the nine conditions, condition
 violations by evaluating every identity at every point, local move
 sites by trying every pair or triple of adjacent pass pairs, add moves
 by placing the inserted passes while walking the unmodified components,
@@ -167,6 +168,17 @@ def brute_colorings(d: ud.Diagram, spec: ud.ColoringSpec) -> list[dict]:
         if _brute_check(d, colors, spec):
             found.append(colors)
     return found
+
+
+def brute_shift(d: ud.Diagram, k: int, weights: tuple[int, int]) -> int:
+    """Component k's shift as a per-pass sum: +w at an over pass and -w at
+    an under pass, w being weights[0] at positive crossings and weights[1]
+    at negative ones."""
+    total = 0
+    for pas in d.components[k]:
+        w = weights[0] if pas.sign > 0 else weights[1]
+        total += w if pas.role == ud.OVER else -w
+    return total
 
 
 def _brute_check(d: ud.Diagram, colors: dict, spec: ud.ColoringSpec) -> bool:

@@ -86,6 +86,15 @@ MUTANTS = [
      ["tests/test_coloring.py"], "count_colorings returning 1 for an uncolorable diagram"),
     (DIAGRAM, "and isinstance(x, int) and isinstance(u.crossing, int)", "and isinstance(x, int)",
      ["tests/test_diagram.py"], "Diagram without its under-id int check"),
+    # the one shift rule, and the offsets built only for colorings
+    (DIAGRAM, "        shift += (pos_w - neg_w) * (2 * plus.count(OVER) - len(plus))\n", "",
+     ["tests/test_diagram.py"], "component_shift without its unequal-weight term"),
+    (DIAGRAM, "for pas in d.components[index][1:]],", "for pas in d.components[index][:-1]],",
+     ["tests/test_coloring.py"], "_semi_arc_offsets summing steps from pass 0"),
+    (DIAGRAM, "if not (pair and len(weights) == 2 and", "if not (pair and",
+     ["tests/test_diagram.py"], "component_shift without its weight count check"),
+    (DIAGRAM, "if not (isinstance(index, int) and 0 <= index", "if not (0 <= index",
+     ["tests/test_diagram.py"], "component_shift without its index int check"),
     # a rewrite result's map build from its parent's, by order labels
     (DIAGRAM, "                    indexed.add(k)\n", "                    pass\n",
      ["tests/test_moves.py"], "no relabel when no label fits"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import updown as ud
-from helpers import DELTA, KINK, KNOT_CODES, VIRTUAL_TWO, F6, brute_colorings, tangle
+from helpers import DELTA, KINK, KNOT_CODES, VIRTUAL_TWO, F6, brute_colorings, brute_shift, tangle
 from test_diagram import diagrams
 
 
@@ -229,6 +229,12 @@ class TestMaxord:
         walks.clear()
         ud.rii_report(ud.parse("O1+ O2+ ; U1+ U2+"), ud.parse("O1+ ; U1+"))
         assert walks == []  # 4 when maxord walked each component
+        # the shift is a count of roles, so deciding colorability walks no offsets
+        d = ud.parse(F6)
+        for spec in (ud.ColoringSpec(3), ud.ColoringSpec(4), ud.ColoringSpec(3, 2, -1)):
+            ud.is_colorable(d, spec), ud.count_colorings(d, spec)
+        ud.component_shift(d, 1, (1, -1))
+        assert walks == []  # 13 when the colorability test walked each component
 
     @given(diagrams(max_crossings=6, max_components=4))
     @settings(max_examples=150, deadline=None)
@@ -237,6 +243,16 @@ class TestMaxord:
         for k in range(d.num_components):
             g = math.gcd(g, ud.component_shift(d, k))
         assert ud.maxord(d) == g
+
+
+@given(diagrams(max_crossings=4, max_components=3), st.integers(1, 3),
+       st.just((1, -1)) | st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+@settings(max_examples=100, deadline=None)
+def test_shift_rule_matches_per_pass_sum(d, n, weights):
+    for k in range(d.num_components):
+        assert ud.component_shift(d, k, weights) == brute_shift(d, k, weights)
+    spec = ud.ColoringSpec(n, *weights)
+    assert ud.count_colorings(d, spec) == len(brute_colorings(d, spec))
 
 
 class TestShiftColoring:

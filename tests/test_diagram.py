@@ -444,6 +444,29 @@ class TestComponentShift:
         with pytest.raises(IndexError):
             ud.component_shift(ud.parse("()"), -1)
 
+    @pytest.mark.parametrize("index", [1.0, "0", None])
+    def test_index_not_an_int(self, index):
+        with pytest.raises(IndexError, match="out of range"):
+            ud.component_shift(ud.parse("O1+ ; U1+"), index)
+
+    def test_index_too_long_to_print(self):
+        with pytest.raises(IndexError, match="out of range"):
+            ud.component_shift(ud.parse("()"), 10**5000)
+
+    @pytest.mark.parametrize("weights, named", [
+        (("a", "b"), "['str', 'str']"), ((1,), "['int']"), ((1.5, 1), "['float', 'int']"),
+        ((1, 2, 3), "['int', 'int', 'int']"), ((10**5000,), "['int']"), (("a", 10**5000), "['str', 'int']"),
+        ("ab", "str"), (None, "NoneType"), (2, "int")])
+    def test_weights_not_two_ints(self, weights, named):
+        with pytest.raises(ud.ValidationError, match="weights must be two ints") as exc:
+            ud.component_shift(ud.parse("O1+ ; U1+"), 0, weights)
+        assert str(exc.value).endswith(f"got {named}")
+
+    def test_bool_weights_are_ints(self):
+        d = ud.parse("O1+ O2- ; U1+ U2-")
+        assert ud.component_shift(d, 0, (True, False)) == 1
+        assert ud.component_shift(d, 0, [2, -1]) == 1
+
 
 class TestSelfCrossing:
     def test_knot_crossing(self):

@@ -9,10 +9,12 @@ RI-remove, RII-remove and RIII, is timed on its own (local_scan) on the
 grown knot and on a knot of as many crossings whose passes are uniformly
 shuffled (shuffled_local_scan).
 
-Weight-sum layers: phi_multiset and phi_shift on grown knots of about 64,
-128, 256, 512 and 1,024 crossings with a shiftable cocycle over Z_4, and
-phi_multiset (allow_links) on 3-component links of about 16 to 128
-crossings, whose n**3 colorings all exist, over Z_4 and Z_8.
+Weight-sum and coloring layers: phi_multiset, phi_shift and
+solve_colorings on grown knots of about 64, 128, 256, 512 and 1,024
+crossings over Z_4 (a shiftable cocycle for the first two), phi_multiset
+(allow_links) on 3-component links of about 16 to 128 crossings, whose
+n**3 colorings all exist, over Z_4 and Z_8, and count_colorings on such
+links of about 64 to 1,024 crossings over Z_4.
 
 A shared host can run the same code much slower for seconds at a time, so
 each timing is divided by the median of three timings of a fixed piece of
@@ -37,11 +39,13 @@ import updown as ud
 TARGETS = (100, 300, 1100, 4100)
 PHI_KNOTS = (64, 128, 256, 512, 1024)
 PHI_LINKS = (16, 32, 64, 128)
+COUNT_LINKS = (64, 128, 256, 512, 1024)
 STEPS, REPEATS, CALLS = 200, 7, 20
 REFERENCE_S = 1.2e-3
 LOCAL = frozenset({ud.RI_ADD, ud.RI_REMOVE, ud.RIII})
 GROW = frozenset({ud.RI_ADD, ud.RII_ADD, ud.RIII})
 SCAN = frozenset({ud.RI_REMOVE, ud.RII_REMOVE, ud.RIII})
+SPEC4 = ud.ColoringSpec(4)
 
 
 def grown(target: int, seed: int = 0) -> ud.Diagram:
@@ -134,11 +138,15 @@ def main() -> None:
     sizes = [d.num_crossings for d in knots]
     report("phi_multiset_knot_n4", sizes, [calls_us(lambda: ud.phi_multiset(d, table4)) for d in knots])
     report("phi_shift_knot_n4", sizes, [calls_us(lambda: ud.phi_shift(d, table4)) for d in knots])
+    report("solve_colorings_knot_n4", sizes, [calls_us(lambda: ud.solve_colorings(d, SPEC4)) for d in knots])
     links = [link(target) for target in PHI_LINKS]
     sizes = [d.num_crossings for d in links]
     for table in (table4, ud.enumerate_shiftable(8, 2)[-1]):
         report(f"phi_multiset_link3_n{table.n}", sizes,
                [calls_us(lambda: ud.phi_multiset(d, table, allow_links=True)) for d in links])
+    links = [link(target) for target in COUNT_LINKS]
+    report("count_colorings_link3_n4", [d.num_crossings for d in links],
+           [calls_us(lambda: ud.count_colorings(d, SPEC4)) for d in links])
 
 
 if __name__ == "__main__":
